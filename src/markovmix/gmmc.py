@@ -31,6 +31,7 @@ from .mnlogit import (
 )
 from .mtd import _hessian_std_errors
 from .optim import ConstraintSet, maximize_auglag, project_simplex
+from .schemas import FIT_SCHEMA, check_structure
 
 FIT_FORMAT = "markovmix-gmmc-fit"
 FIT_VERSION = 1
@@ -344,11 +345,16 @@ def save_fit(fit: GmmcFit, path) -> None:
 def load_fit(path) -> GmmcFit:
     """Rebuild a GmmcFit from its JSON serialization."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FIT_FORMAT:
-        raise DataError(f"{path}: not a serialized fit (format={doc.get('format')!r})")
+        try:
+            doc = json.load(fh)
+        except ValueError as err:  # malformed JSON or text that is not UTF-8
+            raise DataError(f"{path}: not a JSON document ({err})") from None
+    fit_format = doc.get("format") if isinstance(doc, dict) else None
+    if fit_format != FIT_FORMAT:
+        raise DataError(f"{path}: not a serialized fit (format={fit_format!r})")
     if doc.get("version") != FIT_VERSION:
         raise DataError(f"{path}: unsupported fit version {doc.get('version')!r}")
+    check_structure(doc, FIT_SCHEMA, str(path))
 
     x_lag = int(doc["x_lag"])
     submodels = [

@@ -160,6 +160,8 @@ def fit_mnlogit(
     nrows, p = design.shape
     if n_states is None:
         n_states = int(response.max())
+    if n_states < 2:
+        raise DataError(f"response has {n_states} state; a multinomial logit needs at least 2")
     observed = np.unique(response)
     missing = sorted(set(range(1, n_states + 1)) - set(observed.tolist()))
     if missing:

@@ -5,7 +5,8 @@ maximized; minimization happens internally.  Contents:
 
   - numeric_gradient / numeric_hessian: central differences
   - project_simplex: Euclidean projection onto the probability simplex
-  - maximize_unconstrained: newton-raphson | bfgs | nelder-mead
+  - maximize_unconstrained: newton-raphson | bfgs | nelder-mead; Newton
+    shifts an indefinite Hessian to positive definite (modified Newton)
   - maximize_auglag: Augmented Lagrangian for equality + inequality
     constrained maximization
 
@@ -35,6 +36,7 @@ MAX_OUTER_ITER = 50
 PENALTY_GROWTH = 10.0
 INITIAL_PENALTY = 1.0
 ARMIJO_SLOPE = 1e-4
+NEWTON_SHIFT = 1e-8  # smallest Hessian eigenvalue kept, relative to its largest entry
 BACKTRACK = 0.5
 
 _METHODS = ("newton-raphson", "bfgs", "nelder-mead")
@@ -153,36 +155,19 @@ def maximize_unconstrained(
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     gtol: float = GRAD_TOL,
     max_iter: int = MAX_INNER_ITER,
-    fd_step: float = 1e-6,
-    compute_hessian: bool = False,
-    extra_starts: Optional[Sequence[Sequence[float]]] = None,
 ) -> OptimResult:
     """Maximize f from a starting point with the chosen method.
 
-    The likelihoods this serves are not globally concave, so the start
-    matters; ``extra_starts`` runs the same method from additional
-    points and keeps the best value (off unless supplied).
+    Without ``gradient`` the gradient methods difference f numerically.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {_METHODS}")
-    starts = [np.asarray(start, dtype=float)]
-    if extra_starts:
-        starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
-
-    best: Optional[OptimResult] = None
-    for x0 in starts:
-        if not np.isfinite(f(x0)):
-            raise EstimationError("objective is not finite at the starting point")
-        if method == "nelder-mead":
-            result = _neldermead_max(f, x0, max_iter)
-        else:
-            result = _gradient_method_max(f, x0, method, gradient, gtol, max_iter, fd_step)
-        if best is None or result.value > best.value:
-            best = result
-    assert best is not None
-    if compute_hessian:
-        best.hessian = numeric_hessian(f, best.argmax)
-    return best
+    x0 = np.asarray(start, dtype=float)
+    if not np.isfinite(f(x0)):
+        raise EstimationError("objective is not finite at the starting point")
+    if method == "nelder-mead":
+        return _neldermead_max(f, x0, max_iter)
+    return _gradient_method_max(f, x0, method, gradient, gtol, max_iter)
 
 
 def _neldermead_max(f, x0, max_iter) -> OptimResult:
@@ -206,9 +191,9 @@ def _neldermead_max(f, x0, max_iter) -> OptimResult:
     )
 
 
-def _gradient_method_max(f, x0, method, gradient, gtol, max_iter, fd_step) -> OptimResult:
+def _gradient_method_max(f, x0, method, gradient, gtol, max_iter) -> OptimResult:
     """Newton-Raphson / BFGS core, run as minimization of -f."""
-    grad_f = gradient if gradient is not None else (lambda x: numeric_gradient(f, x, fd_step))
+    grad_f = gradient if gradient is not None else (lambda x: numeric_gradient(f, x))
 
     def neg_f(x):
         return -f(x)
@@ -231,15 +216,13 @@ def _gradient_method_max(f, x0, method, gradient, gtol, max_iter, fd_step) -> Op
 
         if method == "bfgs":
             direction = -h_inv @ g
-        else:  # newton-raphson
+        else:  # modified Newton: shift an indefinite Hessian to positive definite
             hess = numeric_hessian(neg_f, x)
-            try:
-                direction = np.linalg.solve(hess, -g)
-            except np.linalg.LinAlgError:
-                direction = -g
+            floor = NEWTON_SHIFT * max(1.0, float(np.max(np.abs(hess))))
+            shift = max(0.0, floor - float(np.linalg.eigvalsh(hess)[0]))
+            direction = np.linalg.solve(hess + shift * np.eye(p), -g)
         if direction @ g >= 0:
-            # Newton step on an indefinite Hessian (or a degenerate BFGS
-            # state): fall back to steepest descent
+            # degenerate BFGS state: fall back to steepest descent
             direction = -g
 
         step, fval_new, ok = _armijo_descent(neg_f, x, fval, g, direction)

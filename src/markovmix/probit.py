@@ -7,8 +7,9 @@ chain's lagged state is
 
 with Phi the standard normal CDF and P_jk the empirical plug-in
 transition matrices.  The e parameters are unconstrained reals, so the
-likelihood is maximized with the unconstrained optimizer menu; the
-normal CDF keeps every probability strictly positive.
+likelihood is maximized with the unconstrained optimizer menu, given its
+closed-form score; the normal CDF keeps every probability strictly
+positive.
 """
 
 from __future__ import annotations
@@ -109,12 +110,16 @@ def estimate_mtd_probit(
     converged: list[bool] = []
     equations = []
     for j in range(s):
-        plugin, realized = _stack_plugin_probs(panel, transmats, j)
+        patterns = _stack_plugin_probs(panel, transmats, j)
 
         def objective(theta: np.ndarray) -> float:
-            return _equation_loglik(_expand(theta, include_intercept), plugin, realized)
+            return _equation_loglik(_expand(theta, include_intercept), *patterns)
 
-        result = maximize_unconstrained(objective, init, method=nummethod)
+        def score(theta: np.ndarray) -> np.ndarray:
+            grad = _equation_score(_expand(theta, include_intercept), *patterns)
+            return grad if include_intercept else grad[1:]
+
+        result = maximize_unconstrained(objective, init, method=nummethod, gradient=score)
         etas[j] = _expand(result.argmax, include_intercept)
         logliks[j] = result.value
         converged.append(result.converged)
@@ -153,22 +158,45 @@ def _expand(theta: np.ndarray, include_intercept: bool) -> np.ndarray:
 
 def _stack_plugin_probs(
     panel: Panel, transmats: list[list[TransitionMatrix]], equation: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Plug-in tensor (n-1, s, m) of P_jk(c | lag_k) plus realized states."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plug-in tensor (r, s, m) of P_jk(c | lag_k), realized states and counts.
+
+    The likelihood depends on t only through the (lagged states, next
+    state) pattern, so there is one row per distinct pattern.
+    """
     s = panel.n_chains
-    layers = [
-        transmats[equation][k].probs[panel.states[:-1, k] - 1, :] for k in range(s)
-    ]
-    plugin = np.stack(layers, axis=1)
-    realized = panel.states[1:, equation] - 1
-    return plugin, realized
+    steps = np.column_stack([panel.states[:-1], panel.states[1:, equation]])
+    patterns, counts = np.unique(steps, axis=0, return_counts=True)
+    layers = [transmats[equation][k].probs[patterns[:, k] - 1, :] for k in range(s)]
+    return np.stack(layers, axis=1), patterns[:, s] - 1, counts
 
 
-def _equation_loglik(etas: np.ndarray, plugin: np.ndarray, realized: np.ndarray) -> float:
+def _log_probs(etas: np.ndarray, plugin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # in log space throughout: Phi underflows to 0 for arguments below
     # about -38, but log(Phi) stays finite for any finite argument
-    args = etas[0] + np.einsum("tkc,k->tc", plugin, etas[1:])
+    args = etas[0] + np.einsum("rkc,k->rc", plugin, etas[1:])
     log_weights = log_ndtr(args)
-    log_denom = logsumexp(log_weights, axis=1)
-    log_numer = log_weights[np.arange(len(realized)), realized]
-    return float(np.sum(log_numer - log_denom))
+    return args, log_weights - logsumexp(log_weights, axis=1, keepdims=True)
+
+
+def _equation_loglik(
+    etas: np.ndarray, plugin: np.ndarray, realized: np.ndarray, counts: np.ndarray
+) -> float:
+    log_probs = _log_probs(etas, plugin)[1]
+    return float(counts @ log_probs[np.arange(len(realized)), realized])
+
+
+def _equation_score(
+    etas: np.ndarray, plugin: np.ndarray, realized: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Closed-form gradient of _equation_loglik in (e_0, e_1..e_s).
+
+    d loglik / d arg_c = count * (1{c = realized} - pi_c) * phi/Phi(arg_c),
+    with the inverse Mills ratio phi/Phi taken as exp(log phi - log Phi).
+    """
+    args, log_probs = _log_probs(etas, plugin)
+    mills = np.exp(-0.5 * args**2 - 0.5 * np.log(2.0 * np.pi) - log_ndtr(args))
+    hit = np.zeros_like(args)
+    hit[np.arange(len(realized)), realized] = 1.0
+    d = counts[:, None] * (hit - np.exp(log_probs)) * mills
+    return np.concatenate(([d.sum()], np.einsum("rc,rkc->k", d, plugin)))

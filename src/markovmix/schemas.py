@@ -4,8 +4,12 @@ Three document kinds leave the package as JSON: estimation reports
 (``FitReport.to_dict``), simulation reports (``SimReport.to_dict``),
 and serialized covariate-mixture fits (``save_fit``).  The schemas
 below are the published contract for those files; the test suite
-validates every emitted document against them.
+validates every emitted document against them.  ``check_structure``
+checks a document read back in (``load_fit``) without jsonschema, which
+is a test-only dependency.
 """
+
+from .exceptions import DataError
 
 _NUMBER_OR_NULL = {"type": ["number", "null"]}
 
@@ -97,8 +101,45 @@ FIT_SCHEMA = {
                     "required": ["coefficients", "n_states", "n_source_states",
                                  "n_covariates", "column_names", "loglik",
                                  "converged", "separation"],
+                    "properties": {
+                        "coefficients": {
+                            "type": "array",
+                            "items": {"type": "array", "items": {"type": "number"}},
+                        },
+                        "n_states": {"type": "integer"},
+                        "n_source_states": {"type": "integer"},
+                        "n_covariates": {"type": "integer"},
+                        "column_names": {"type": "array", "items": {"type": "string"}},
+                        "loglik": {"type": "number"},
+                        "converged": {"type": "boolean"},
+                        "separation": {"type": "boolean"},
+                    },
                 },
             },
         },
     },
 }
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "integer": int, "number": (int, float), "null": type(None)}
+
+
+def check_structure(doc, schema: dict, source: str, field: str = "document") -> None:
+    """Raise DataError naming the first missing or ill-typed field of doc.
+
+    Checks the structural keywords only: type, required, properties and
+    items.
+    """
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and (not isinstance(doc, tuple(_JSON_TYPES[t] for t in types))
+                  or isinstance(doc, bool) and "boolean" not in types):
+        raise DataError(f"{source}: field {field} must be {' or '.join(types)}")
+    for name in schema.get("required", []):
+        if name not in doc:
+            raise DataError(f"{source}: field {field}.{name} is missing")
+    for name, sub in schema.get("properties", {}).items():
+        if name in doc:
+            check_structure(doc[name], sub, source, f"{field}.{name}")
+    for i, item in enumerate(doc if "items" in schema else []):
+        check_structure(item, schema["items"], source, f"{field}[{i}]")

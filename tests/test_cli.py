@@ -110,6 +110,49 @@ class TestTransmatCommand:
         rc = main(["transmat", "--fit", str(fit_path), "--x", "1.0,2.0"])
         assert rc == EXIT_DATA
 
+    @pytest.fixture(scope="class")
+    def saved_fit_text(self, synthetic_files, tmp_path_factory):
+        panel, cov = synthetic_files
+        fit_path = tmp_path_factory.mktemp("fit") / "fit.json"
+        assert main([
+            "estimate", "--model", "gmmc", "--y", str(panel), "--x", str(cov),
+            "--save-fit", str(fit_path),
+        ]) == 0
+        return fit_path.read_text()
+
+    @pytest.mark.parametrize(
+        "content", [b"weights: [0.5, 0.5]\n", b"\xff\xfe{}"], ids=["not-json", "not-utf8"]
+    )
+    def test_non_json_fit_is_a_data_error(self, tmp_path, capsys, content):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_bytes(content)
+        rc = main(["transmat", "--fit", str(fit_path), "--x", "1.0"])
+        assert rc == EXIT_DATA
+        assert "not a JSON document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc.pop("x_lag"), "document.x_lag is missing"),
+            (lambda doc: doc.update(weights="0.5,0.5"), "document.weights must be array"),
+            (lambda doc: doc["submodels"][0][1].pop("coefficients"),
+             "document.submodels[0][1].coefficients is missing"),
+            (lambda doc: doc["submodels"][1][0].update(n_states="two"),
+             "document.submodels[1][0].n_states must be integer"),
+            (lambda doc: doc["report"]["equations"][0].update(loglik=None),
+             "document.report.equations[0].loglik must be number"),
+        ],
+        ids=["missing", "ill-typed", "nested-missing", "nested-ill-typed", "null-number"],
+    )
+    def test_malformed_fit_names_the_field(self, saved_fit_text, tmp_path, capsys, edit, field):
+        doc = json.loads(saved_fit_text)
+        edit(doc)
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps(doc))
+        rc = main(["transmat", "--fit", str(fit_path), "--x", "1.0"])
+        assert rc == EXIT_DATA
+        assert field in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_single_rep_rates(self, tmp_path, capsys):

@@ -127,6 +127,11 @@ class TestFitMnlogit:
         with pytest.raises(DataError, match="never observed"):
             fit_mnlogit(np.ones((30, 1)), np.ones(30, dtype=int), n_states=2)
 
+    def test_single_state_response_rejected(self):
+        # a chain that never leaves state 1 is coded with a one-state alphabet
+        with pytest.raises(DataError, match="at least 2"):
+            fit_mnlogit(np.ones((30, 1)), np.ones(30, dtype=int))
+
 
 class TestPredictProbs:
     def test_zero_coefficients_uniform(self):

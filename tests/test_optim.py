@@ -71,13 +71,15 @@ class TestMaximizeUnconstrained:
         )
         assert not res.converged
 
-    def test_extra_starts_pick_best(self):
-        # bimodal: global max at 3, local at -2
+    def test_newton_shifts_an_indefinite_hessian(self):
+        # at the start the Hessian of -f is indefinite, and the valley is
+        # too narrow for steepest descent to cross in 50 iterations
         def f(t):
-            return float(-((t[0] - 3) ** 2) * ((t[0] + 2) ** 2) - 0.1 * (t[0] - 3) ** 2)
+            return float(-((t[0] ** 2 - 1.0) ** 2) - 1e4 * (t[1] - t[0]) ** 2)
 
-        res = maximize_unconstrained(f, [-2.5], method="bfgs", extra_starts=[[2.5]])
-        assert abs(res.argmax[0] - 3.0) < 1e-4
+        res = maximize_unconstrained(f, [0.1, 0.1], method="newton-raphson", max_iter=50)
+        assert res.converged
+        assert np.max(np.abs(res.argmax - 1.0)) < 1e-6
 
 
 class TestNumericDerivatives:

@@ -7,7 +7,11 @@ import pytest
 
 from markovmix.data import Panel, TransitionMatrix, encode_sequences, transition_matrix_grid
 from markovmix.inference import norm_cdf
+from markovmix.optim import numeric_gradient
 from markovmix.probit import (
+    _equation_loglik,
+    _equation_score,
+    _stack_plugin_probs,
     estimate_mtd_probit,
     probit_distribution,
     probit_loglik,
@@ -21,6 +25,21 @@ def _grid(mats):
         [TransitionMatrix(np.asarray(m, dtype=float), k, j) for k, m in enumerate(row)]
         for j, row in enumerate(mats)
     ]
+
+
+def _simulate_mtd(rng, weights, rows, n):
+    """MTD panel: chain j takes a source chain k with probability
+    weights[j, k], then its next state from rows[j, k] at k's lagged state."""
+    s, m = weights.shape[0], rows.shape[-1]
+    sources = np.column_stack([rng.choice(s, size=n, p=weights[j]) for j in range(s)])
+    cum_rows = np.cumsum(rows, axis=-1)
+    draws = rng.random((n, s))
+    states = np.zeros((n, s), dtype=int)
+    for t in range(1, n):
+        for j in range(s):
+            row = cum_rows[j, sources[t, j], states[t - 1, sources[t, j]]]
+            states[t, j] = min(np.searchsorted(row, draws[t, j]), m - 1)
+    return Panel(states + 1, (m,) * s)
 
 
 def _brute_probit_prob(transmats, etas, equation, lagged, target):
@@ -120,6 +139,31 @@ class TestProbitLoglik:
             for (lagged, target), count in pattern_counts.items()
         )
         assert per_step == pytest.approx(by_pattern, rel=1e-12)
+        patterns = _stack_plugin_probs(panel, transmats, 0)
+        assert patterns[2].sum() == panel.n_obs - 1
+        assert _equation_loglik(etas, *patterns) == pytest.approx(per_step, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "etas, include_intercept",
+        [([0.3, 1.2, -0.4, 0.8], True), ([0.0, -2.0, 3.5, 1.1], False),
+         ([-45.0, 1.0, 0.5, 2.0], True)],
+        ids=["intercept", "no-intercept", "cdf-underflow"],
+    )
+    def test_score_matches_numeric_gradient(self, etas, include_intercept):
+        # the last point puts every argument below -38, where Phi underflows
+        rng = np.random.default_rng(6)
+        panel = encode_sequences([rng.integers(1, 4, 300).tolist() for _ in range(3)])
+        patterns = _stack_plugin_probs(panel, transition_matrix_grid(panel), 1)
+        etas = np.array(etas)
+        first = 0 if include_intercept else 1  # without it, e_0 stays fixed
+
+        def loglik(theta):
+            return _equation_loglik(np.concatenate((etas[:first], theta)), *patterns)
+
+        score = _equation_score(etas, *patterns)[first:]
+        oracle = numeric_gradient(loglik, etas[first:])
+        assert np.all(np.isfinite(score))
+        assert np.allclose(score, oracle, rtol=1e-6, atol=1e-5)
 
     def test_dependence_beats_uniform(self):
         rng = np.random.default_rng(2)
@@ -165,10 +209,8 @@ class TestEstimateMtdProbit:
         assert worst < 0.05
 
         # and the fit is at least as good as the truth in-sample
-        from markovmix.probit import _equation_loglik, _stack_plugin_probs
-
-        plugin, realized = _stack_plugin_probs(panel, grid, 0)
-        assert fit.logliks[0] >= _equation_loglik(eta_true, plugin, realized) - 1e-8
+        patterns = _stack_plugin_probs(panel, grid, 0)
+        assert fit.logliks[0] >= _equation_loglik(eta_true, *patterns) - 1e-8
 
     def test_iid_uniform_panel_predicts_uniform(self):
         # with no dependence the identified conditional probabilities are
@@ -195,6 +237,18 @@ class TestEstimateMtdProbit:
         newton = estimate_mtd_probit(panel, nummethod="newton-raphson")
         assert np.max(np.abs(bfgs.logliks - newton.logliks)) < 1e-4
 
+    def test_large_panel_converges_with_both_gradient_methods(self):
+        # at n = 20000 a differenced gradient is too noisy to reach the 1e-6
+        # stopping tolerance, and Newton steps on an indefinite Hessian stall
+        rng = np.random.default_rng(2022)
+        weights = rng.dirichlet(np.ones(3), size=3)
+        rows = rng.dirichlet(np.ones(3), size=(3, 3, 3))
+        panel = _simulate_mtd(rng, weights, rows, 20000)
+        bfgs = estimate_mtd_probit(panel, nummethod="bfgs")
+        newton = estimate_mtd_probit(panel, nummethod="newton-raphson")
+        assert all(bfgs.converged) and all(newton.converged)
+        assert np.all(np.abs(bfgs.logliks - newton.logliks) <= 1e-6 * np.abs(bfgs.logliks))
+
     def test_loglik_never_below_initial(self):
         rng = np.random.default_rng(3)
         panel = encode_sequences([rng.integers(1, 4, 200).tolist(),
@@ -202,11 +256,9 @@ class TestEstimateMtdProbit:
         initial = np.array([1.0, 1.0, 1.0])
         fit = estimate_mtd_probit(panel, initial=initial)
         transmats = fit.transmats
-        from markovmix.probit import _equation_loglik, _stack_plugin_probs
-
         for j in range(2):
-            plugin, realized = _stack_plugin_probs(panel, transmats, j)
-            assert fit.logliks[j] >= _equation_loglik(initial, plugin, realized) - 1e-10
+            patterns = _stack_plugin_probs(panel, transmats, j)
+            assert fit.logliks[j] >= _equation_loglik(initial, *patterns) - 1e-10
 
     def test_intercept_can_be_fixed(self):
         rng = np.random.default_rng(4)

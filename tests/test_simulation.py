@@ -5,6 +5,8 @@ import pytest
 
 from markovmix.simulation import (
     SimConfig,
+    _draw_part1_generator,
+    _part1_rep,
     nonhomog_prob_table,
     replication_rng,
     run_part1,
@@ -141,6 +143,12 @@ class TestRunPart1:
         assert "chain2_transition" in report.generator
         doc = report.to_dict()
         assert doc["scenario"] == "part1" and doc["n_obs"] == 60
+
+    def test_chain_stuck_in_one_state_is_a_counted_failure(self):
+        # seed 5368, replication 1 at n=100: chain 2 never leaves state 1
+        gen = _draw_part1_generator(2, study_rng(5368))
+        payload = (5368, 1, 100, 2, 0.05, gen["chain1_coefficients"], gen["chain2_transition"])
+        assert _part1_rep(payload) == (1, None, None)
 
     def test_scenario_mismatch_rejected(self):
         cfg = SimConfig(n_obs=60, n_reps=5, states=2, scenario="part1", seed=21)
