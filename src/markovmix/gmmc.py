@@ -5,7 +5,8 @@ non-homogeneous conditionals P(S_j,t | S_k,t-1, x) across source chains
 k with weights on the probability simplex.  The conditionals are
 multinomial-logit fits, estimated first and treated as plug-ins; the
 weights then maximize the mixture log-likelihood under the simplex
-constraints via the Augmented Lagrangian method.  Standard errors come
+constraints via the Augmented Lagrangian method, whose inner Newton
+steps use the analytic mixture Hessian.  Standard errors come
 from the analytic Hessian in the weights at the optimum (first-stage
 uncertainty is not propagated, a documented understatement).
 """
@@ -159,6 +160,8 @@ def estimate_gmmc(
             constraints,
             start,
             gradient=lambda w: mixture_gradient(w, q),
+            hessian=lambda w: mixture_hessian(w, q),
+            inner_method="newton-raphson",
         )
         # the solver satisfies the constraints to tolerance; snap the last
         # ~1e-7 onto the simplex so downstream invariants hold exactly

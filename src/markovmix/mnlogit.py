@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.special import logsumexp
 
 from .data import CovariateMatrix, Panel
 from .exceptions import DataError
@@ -112,7 +111,9 @@ def build_design(
 def mnlogit_loglik(coefficients: np.ndarray, design: np.ndarray, response: np.ndarray) -> float:
     """Multinomial log-likelihood at the given (m-1, p) coefficients."""
     logits = _full_logits(coefficients, design)
-    row_ll = logits[np.arange(len(response)), response - 1] - logsumexp(logits, axis=1)
+    top = logits.max(axis=1)
+    log_norm = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
+    row_ll = logits[np.arange(len(response)), response - 1] - log_norm
     return float(row_ll.sum())
 
 
@@ -218,16 +219,14 @@ def _newton_fit(design: np.ndarray, response: np.ndarray, n_states: int):
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
             step = np.linalg.solve(info + RIDGE * np.eye(info.shape[0]), score)
-        # halve the step until the likelihood does not deteriorate
-        scale = 1.0
-        for _ in range(40):
-            candidate = beta + scale * step.reshape(beta.shape)
+        # halve the step until the likelihood does not deteriorate; after
+        # 40 failed halvings the smallest step is taken regardless
+        for halvings in range(41):
+            candidate = beta + 0.5**halvings * step.reshape(beta.shape)
             ll_new = mnlogit_loglik(candidate, design, response)
-            if np.isfinite(ll_new) and ll_new >= ll - 1e-12:
+            if halvings == 40 or (np.isfinite(ll_new) and ll_new >= ll - 1e-12):
                 break
-            scale *= 0.5
-        beta = beta + scale * step.reshape(beta.shape)
-        ll_new = mnlogit_loglik(beta, design, response)
+        beta = candidate
         if abs(ll_new - ll) <= LL_TOL:
             ll = ll_new
             converged = True

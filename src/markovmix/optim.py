@@ -6,9 +6,12 @@ maximized; minimization happens internally.  Contents:
   - numeric_gradient / numeric_hessian: central differences
   - project_simplex: Euclidean projection onto the probability simplex
   - maximize_unconstrained: newton-raphson | bfgs | nelder-mead; Newton
-    shifts an indefinite Hessian to positive definite (modified Newton)
+    uses an analytic Hessian when given (else central differences) and
+    shifts an indefinite one to positive definite (modified Newton)
   - maximize_auglag: Augmented Lagrangian for equality + inequality
-    constrained maximization
+    constrained maximization; an analytic Hessian of f gives its inner
+    Newton steps the exact Hessian of the augmented objective for
+    linear constraints
 
 Default tolerances: gradient/KKT 1e-6, equality constraints 1e-6,
 iteration caps 500 (inner) / 50 (outer), penalty growth 10 from an
@@ -49,7 +52,6 @@ class OptimResult:
     converged: bool
     iterations: int
     gradient: Optional[np.ndarray] = None
-    hessian: Optional[np.ndarray] = None
     message: str = ""
 
 
@@ -155,10 +157,12 @@ def maximize_unconstrained(
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     gtol: float = GRAD_TOL,
     max_iter: int = MAX_INNER_ITER,
+    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> OptimResult:
     """Maximize f from a starting point with the chosen method.
 
-    Without ``gradient`` the gradient methods difference f numerically.
+    Without ``gradient`` the gradient methods difference f numerically;
+    without ``hessian`` so does Newton-Raphson.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {_METHODS}")
@@ -167,7 +171,7 @@ def maximize_unconstrained(
         raise EstimationError("objective is not finite at the starting point")
     if method == "nelder-mead":
         return _neldermead_max(f, x0, max_iter)
-    return _gradient_method_max(f, x0, method, gradient, gtol, max_iter)
+    return _gradient_method_max(f, x0, method, gradient, hessian, gtol, max_iter)
 
 
 def _neldermead_max(f, x0, max_iter) -> OptimResult:
@@ -191,7 +195,7 @@ def _neldermead_max(f, x0, max_iter) -> OptimResult:
     )
 
 
-def _gradient_method_max(f, x0, method, gradient, gtol, max_iter) -> OptimResult:
+def _gradient_method_max(f, x0, method, gradient, hessian, gtol, max_iter) -> OptimResult:
     """Newton-Raphson / BFGS core, run as minimization of -f."""
     grad_f = gradient if gradient is not None else (lambda x: numeric_gradient(f, x))
 
@@ -217,7 +221,7 @@ def _gradient_method_max(f, x0, method, gradient, gtol, max_iter) -> OptimResult
         if method == "bfgs":
             direction = -h_inv @ g
         else:  # modified Newton: shift an indefinite Hessian to positive definite
-            hess = numeric_hessian(neg_f, x)
+            hess = -hessian(x) if hessian is not None else numeric_hessian(neg_f, x)
             floor = NEWTON_SHIFT * max(1.0, float(np.max(np.abs(hess))))
             shift = max(0.0, floor - float(np.linalg.eigvalsh(hess)[0]))
             direction = np.linalg.solve(hess + shift * np.eye(p), -g)
@@ -226,12 +230,12 @@ def _gradient_method_max(f, x0, method, gradient, gtol, max_iter) -> OptimResult
             direction = -g
 
         step, fval_new, ok = _armijo_descent(neg_f, x, fval, g, direction)
-        if not ok:
-            converged = bool(np.max(np.abs(g)) <= gtol)
+        x_new = x + step * direction
+        # a step too small to move x leaves every later iteration identical
+        if not ok or np.array_equal(x_new, x):
             message = "line search stalled"
             break
 
-        x_new = x + step * direction
         g_new = -grad_f(x_new)
 
         if method == "bfgs":
@@ -283,16 +287,18 @@ def maximize_auglag(
     ineq_tol: float = INEQ_TOL,
     max_outer_iter: int = MAX_OUTER_ITER,
     max_inner_iter: int = MAX_INNER_ITER,
-    compute_hessian: bool = False,
+    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> OptimResult:
     """Maximize f subject to h(x) = 0 and g(x) >= 0 from a feasible start.
 
     Outer iterations update multipliers and the penalty; each inner
     solve is an unconstrained maximization of the augmented objective.
     Convergence requires the KKT stationarity residual at or below
-    ``gtol``, |h| <= ``eq_tol``, and g >= -``ineq_tol``.  When
-    ``compute_hessian`` is set, the Hessian of f itself (not of the
-    augmented objective) at the solution is attached for inference.
+    ``gtol``, |h| <= ``eq_tol``, and g >= -``ineq_tol``.  ``hessian``,
+    the Hessian of f, is passed on to the inner solver (use it with
+    ``inner_method="newton-raphson"``) with the penalty curvature
+    -rho J'J of the equalities and active inequalities added, which
+    omits only the constraints' own second derivatives.
     """
     x = np.asarray(start, dtype=float)
     if constraints.violation(x) > 1e-8:
@@ -339,6 +345,16 @@ def maximize_auglag(
             g = g + mult @ jac
         return g
 
+    def augmented_hessian(z: np.ndarray) -> np.ndarray:
+        hess = hessian(z)
+        if n_eq:
+            jac = constraints.eq_jacobian(z)
+            hess = hess - rho * jac.T @ jac
+        if n_ineq:
+            jac = constraints.ineq_jacobian(z)[nu - rho * constraints.ineq_values(z) > 0]
+            hess = hess - rho * jac.T @ jac
+        return hess
+
     converged = False
     total_inner = 0
     prev_violation = np.inf
@@ -353,6 +369,7 @@ def maximize_auglag(
             gradient=augmented_gradient,
             gtol=inner_gtol,
             max_iter=max_inner_iter,
+            hessian=augmented_hessian if hessian is not None else None,
         )
         x = inner.argmax
         total_inner += inner.iterations
@@ -391,7 +408,7 @@ def maximize_auglag(
             break
         prev_violation = max(violation, 1e-300)
 
-    result = OptimResult(
+    return OptimResult(
         argmax=x,
         value=float(f(x)),
         converged=converged,
@@ -399,6 +416,3 @@ def maximize_auglag(
         gradient=grad_f(x),
         message=message,
     )
-    if compute_hessian:
-        result.hessian = numeric_hessian(f, x)
-    return result

@@ -13,9 +13,9 @@ Every study is reproducible: study-level draws (generating
 coefficients, the homogeneous transition matrix) come from a stream
 keyed by (seed, 0) and each replication r from (seed, 1, r), so serial
 and parallel execution aggregate to identical reports.  Replications
-whose fit fails (a state never visited, a singular Hessian) are counted
-and excluded from the rates; a study aborts if more than 5% fail,
-because silently dropping more would bias the rates.
+whose fit fails (a state never visited, a singular Hessian or linear
+solve) are counted and excluded from the rates; a study aborts if more
+than 5% fail, because silently dropping more would bias the rates.
 """
 
 from __future__ import annotations
@@ -306,7 +306,7 @@ def _part1_rep(payload) -> tuple[int, Optional[list[bool]], Optional[np.ndarray]
     hypotheses = [(0, 0.0), (1, 1.0), (0, 1.0), (1, 0.0)]
     try:
         rejected, estimates = _fit_and_test([s1, s2], x, alpha, hypotheses)
-    except (DataError, EstimationError):
+    except (DataError, EstimationError, np.linalg.LinAlgError):
         return rep, None, None
     return rep, rejected, estimates
 
@@ -332,7 +332,7 @@ def _part2_rep(payload) -> tuple[int, Optional[list[bool]], Optional[np.ndarray]
     hypotheses = [(0, float(lam[0])), (1, float(lam[1])), (0, 0.0), (1, 0.0)]
     try:
         rejected, estimates = _fit_and_test([s1, s2], x, alpha, hypotheses)
-    except (DataError, EstimationError):
+    except (DataError, EstimationError, np.linalg.LinAlgError):
         return rep, None, None
     return rep, rejected, estimates
 

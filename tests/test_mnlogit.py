@@ -82,6 +82,23 @@ class TestFitMnlogit:
         rel = np.max(np.abs(analytic - numeric)) / max(1.0, np.max(np.abs(numeric)))
         assert rel < 1e-6
 
+    @pytest.mark.parametrize("offset", [0.0, 710.0, -710.0])
+    def test_loglik_matches_scipy_logsumexp(self, offset):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(9)
+        design, response = _simulate_logit(rng, np.array([[0.3, -0.8], [-0.2, 0.4]]), 120)
+        # an intercept shift of +-710 puts the logits of states 2 and 3
+        # around exp's overflow limit (709.8) and far below zero
+        point = np.array([[offset, 0.5], [offset - 1.0, -0.7]])
+        logits = np.hstack([np.zeros((120, 1)), design @ point.T])
+        oracle = float(
+            (logits[np.arange(120), response - 1] - logsumexp(logits, axis=1)).sum()
+        )
+        value = mnlogit_loglik(point, design, response)
+        assert np.isfinite(value)
+        assert value == pytest.approx(oracle, rel=1e-12, abs=1e-9)
+
     def test_simulation_calibration_3se_coverage(self):
         # frozen-seed calibration: coefficient within 3 estimated standard
         # errors of truth in at least 99% of (replication, coefficient) pairs

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markovmix import optim
+from markovmix._mixture import mixture_gradient, mixture_hessian, mixture_loglik
+from markovmix.data import CovariateMatrix, Panel
 from markovmix.exceptions import EstimationError
+from markovmix.gmmc import build_prob_tensor
 from markovmix.optim import (
     ConstraintSet,
     maximize_auglag,
@@ -14,15 +18,21 @@ from markovmix.optim import (
     numeric_hessian,
     project_simplex,
 )
+from markovmix.simulation import simulate_homog_chain, simulate_nonhomog_chain
 
 METHODS = ["newton-raphson", "bfgs", "nelder-mead"]
 
-SIMPLEX_2 = ConstraintSet(
-    equalities=[lambda w: float(w.sum() - 1.0)],
-    inequalities=[lambda w: float(w[0]), lambda w: float(w[1])],
-    equality_jacobians=[lambda w: np.ones(2)],
-    inequality_jacobians=[lambda w: np.array([1.0, 0.0]), lambda w: np.array([0.0, 1.0])],
-)
+
+def _simplex(s):
+    return ConstraintSet(
+        equalities=[lambda w: float(w.sum() - 1.0)],
+        inequalities=[(lambda w, i=i: float(w[i])) for i in range(s)],
+        equality_jacobians=[lambda w: np.ones(s)],
+        inequality_jacobians=[(lambda w, i=i: np.eye(s)[i]) for i in range(s)],
+    )
+
+
+SIMPLEX_2 = _simplex(2)
 
 
 class TestMaximizeUnconstrained:
@@ -70,6 +80,33 @@ class TestMaximizeUnconstrained:
             lambda t: -abs(t[0]) ** 1.1, [5.0], method="bfgs", max_iter=2
         )
         assert not res.converged
+
+    @pytest.mark.parametrize("method", ["bfgs", "newton-raphson"])
+    def test_step_that_leaves_x_unchanged_ends_the_run(self, method):
+        # the maximizer 1 + 3e-17 lies between two doubles, nearer to 1.0:
+        # from x = 1.0 every accepted step rounds back to x while the
+        # gradient, 6e-5, stays above gtol
+        def f(t):
+            return float(-1e4 - 1e12 * ((t[0] - 1.0) - 3e-17) ** 2)
+
+        def grad(t):
+            return np.array([-2e12 * ((t[0] - 1.0) - 3e-17)])
+
+        def hess(t):
+            return np.array([[-2e12]])
+
+        short, long = (
+            maximize_unconstrained(
+                f, [0.0], method=method, gradient=grad, hessian=hess, max_iter=cap
+            )
+            for cap in (50, 500)
+        )
+        assert short.message == "line search stalled"
+        assert not short.converged
+        assert short.iterations < 10
+        assert short.argmax[0] == 1.0
+        assert np.array_equal(short.argmax, long.argmax)
+        assert short.value == long.value
 
     def test_newton_shifts_an_indefinite_hessian(self):
         # at the start the Hessian of -f is indefinite, and the valley is
@@ -181,12 +218,65 @@ class TestMaximizeAuglag:
                 assert abs(res.argmax.sum() - 1.0) <= 1e-6
                 assert res.argmax.min() >= -1e-8
 
-    def test_hessian_of_objective_returned(self):
+
+class TestAuglagAnalyticHessian:
+    def test_augmented_hessian_matches_numeric_oracle(self, monkeypatch):
+        # spy on the inner solves: at each, the Hessian handed to the inner
+        # solver must be the Hessian of the augmented objective it maximizes
+        rng = np.random.default_rng(11)
+        q = rng.uniform(0.2, 0.9, size=(200, 3))
+        points = [
+            np.array([0.3, 0.3, 0.4]),  # no bound active
+            np.array([0.6, 0.5, -0.1]),  # w3 < 0: its bound's penalty is active
+            np.array([0.7, -0.05, 0.2]),  # w2 < 0, and the sum below 1
+        ]
+        inner_solve = optim.maximize_unconstrained
+        checked = []
+
+        def spy(f, start, **kwargs):
+            for w in points:
+                oracle = numeric_hessian(f, w)
+                analytic = kwargs["hessian"](w)
+                scale = np.max(np.abs(oracle))
+                assert np.max(np.abs(analytic - oracle)) <= 1e-5 * scale
+            checked.append(kwargs["method"])
+            return inner_solve(f, start, **kwargs)
+
+        monkeypatch.setattr(optim, "maximize_unconstrained", spy)
         res = maximize_auglag(
-            lambda w: -((w[0] - 0.7) ** 2) - (w[1] - 0.3) ** 2,
-            SIMPLEX_2,
-            [0.5, 0.5],
-            compute_hessian=True,
+            lambda w: mixture_loglik(w, q),
+            _simplex(3),
+            np.full(3, 1.0 / 3.0),
+            gradient=lambda w: mixture_gradient(w, q),
+            hessian=lambda w: mixture_hessian(w, q),
+            inner_method="newton-raphson",
         )
-        # Hessian of f itself, not of the augmented objective
-        assert np.allclose(np.diag(res.hessian), [-2.0, -2.0], atol=1e-4)
+        assert res.converged
+        assert checked and set(checked) == {"newton-raphson"}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_newton_inner_agrees_with_bfgs_inner(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 600
+        x = rng.normal(2.0, 5.0, size=n)
+        s1 = simulate_nonhomog_chain(np.array([[-1.2, 1.4, 0.45]]), x, n, rng=rng)
+        s2 = simulate_homog_chain(np.array([[0.55, 0.45], [0.3, 0.7]]), n, rng=rng)
+        s3 = simulate_homog_chain(np.array([[0.8, 0.2], [0.4, 0.6]]), n, rng=rng)
+        panel = Panel(np.column_stack([s1, s2, s3]), (2, 2, 2))
+        tensors, _, _ = build_prob_tensor(panel, CovariateMatrix(x.reshape(-1, 1), ["x"]))
+        for q in tensors:
+            common = dict(
+                f=lambda w: mixture_loglik(w, q),
+                constraints=_simplex(3),
+                start=np.full(3, 1.0 / 3.0),
+                gradient=lambda w: mixture_gradient(w, q),
+            )
+            bfgs = maximize_auglag(**common)
+            newton = maximize_auglag(
+                **common,
+                hessian=lambda w: mixture_hessian(w, q),
+                inner_method="newton-raphson",
+            )
+            assert bfgs.converged and newton.converged
+            assert np.max(np.abs(newton.argmax - bfgs.argmax)) <= 1e-6
+            assert newton.value >= bfgs.value - 1e-6 * abs(bfgs.value)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from markovmix import simulation
 from markovmix.simulation import (
     SimConfig,
     _draw_part1_generator,
@@ -149,6 +150,19 @@ class TestRunPart1:
         gen = _draw_part1_generator(2, study_rng(5368))
         payload = (5368, 1, 100, 2, 0.05, gen["chain1_coefficients"], gen["chain2_transition"])
         assert _part1_rep(payload) == (1, None, None)
+
+    def test_linear_algebra_error_is_a_counted_failure(self, monkeypatch):
+        fit_and_test = simulation._fit_and_test
+
+        def failing_once(panel_cols, x, alpha, hypotheses):
+            if not hasattr(failing_once, "raised"):
+                failing_once.raised = True
+                raise np.linalg.LinAlgError("Singular matrix")
+            return fit_and_test(panel_cols, x, alpha, hypotheses)
+
+        monkeypatch.setattr(simulation, "_fit_and_test", failing_once)
+        cfg = SimConfig(n_obs=100, n_reps=25, states=2, scenario="part1", seed=7)
+        assert run_part1(cfg).n_failed == 1
 
     def test_scenario_mismatch_rejected(self):
         cfg = SimConfig(n_obs=60, n_reps=5, states=2, scenario="part1", seed=21)
