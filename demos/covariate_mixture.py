@@ -8,6 +8,9 @@ is at the end: the equation-level transition matrix evaluated at
 different covariate values, plus smoothed fitted probability paths.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from markovmix import (
@@ -16,6 +19,7 @@ from markovmix import (
     conditional_transition_matrix,
     estimate_gmmc,
     format_report,
+    load_fit,
     save_fit,
     simulate_homog_chain,
     simulate_nonhomog_chain,
@@ -50,6 +54,11 @@ smoothed = smoothed_conditional_probs(fit, 0, 0, window=5)
 print("\nsmoothed own-lag probability paths (first 5 rows):")
 print(np.round(smoothed[:5], 3))
 
-save_fit(fit, "covariate_mixture_fit.json")
-print("\nfit serialized to covariate_mixture_fit.json "
-      "(reload with markovmix.load_fit or the transmat CLI command)")
+with tempfile.TemporaryDirectory() as tmp:
+    fit_path = os.path.join(tmp, "covariate_mixture_fit.json")
+    save_fit(fit, fit_path)
+    reloaded = load_fit(fit_path)
+    print(f"\nfit serialized to {fit_path} (the transmat CLI command reads it);")
+    print("reloaded matrix at x = 0 matches:",
+          np.allclose(conditional_transition_matrix(reloaded, 0, 0.0),
+                      conditional_transition_matrix(fit, 0, 0.0)))

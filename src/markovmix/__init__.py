@@ -30,6 +30,7 @@ from .data import (
     read_panel_csv,
     row_normalize,
     transition_matrix_grid,
+    transition_patterns,
 )
 from .exceptions import DataError, EstimationError
 from .gmmc import (

@@ -3,30 +3,45 @@
 Both the multimatrix MTD and the covariate-driven model reduce, per
 equation, to weights on the simplex scoring a (rows, s) tensor ``q``
 whose entry [t, k] is the source-k conditional probability of the
-realized state at step t.  The log-likelihood, gradient, and Hessian
+realized state at row t.  The log-likelihood, gradient, and Hessian
 in the weights live here.
+
+A row is a time step, or, with ``counts``, a distinct (lagged states,
+next state) pattern that occurs ``counts[t]`` times: the MTD likelihood
+depends on the data only through these counts.  Without ``counts``
+every row counts once.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 
-def mixture_loglik(weights: np.ndarray, q: np.ndarray) -> float:
-    """Sum over rows of log(weights . q_t); -inf when any mixture is <= 0."""
+def mixture_loglik(
+    weights: np.ndarray, q: np.ndarray, counts: Optional[np.ndarray] = None
+) -> float:
+    """Sum over rows of counts_t * log(weights . q_t); -inf when any mixture is <= 0."""
     mix = q @ weights
     if (mix <= 0).any():
         return -np.inf
-    return float(np.log(mix).sum())
+    log_mix = np.log(mix)
+    return float(log_mix.sum() if counts is None else counts @ log_mix)
 
 
-def mixture_gradient(weights: np.ndarray, q: np.ndarray) -> np.ndarray:
+def mixture_gradient(
+    weights: np.ndarray, q: np.ndarray, counts: Optional[np.ndarray] = None
+) -> np.ndarray:
     mix = q @ weights
-    return q.T @ (1.0 / mix)
+    return q.T @ (1.0 / mix if counts is None else counts / mix)
 
 
-def mixture_hessian(weights: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Hessian of the mixture log-likelihood: -sum_t q_t q_t' / (w.q_t)^2."""
+def mixture_hessian(
+    weights: np.ndarray, q: np.ndarray, counts: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Hessian of the mixture log-likelihood: -sum_t counts_t q_t q_t' / (w.q_t)^2."""
     mix = q @ weights
-    scaled = q / mix[:, None]
+    # sqrt(counts) on both factors keeps the product exactly symmetric
+    scaled = q / (mix if counts is None else mix / np.sqrt(counts))[:, None]
     return -(scaled.T @ scaled)

@@ -236,6 +236,31 @@ def transition_matrix_grid(panel: Panel) -> list[list[TransitionMatrix]]:
     ]
 
 
+def transition_patterns(panel: Panel, equation: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (lagged states of every chain, next state of ``equation``) rows.
+
+    Step t is the row (states[t, 0..s-1], states[t+1, equation]).  Returns
+    the distinct rows in lexicographic order, as ``np.unique(axis=0)``
+    would, and how often each occurs (the counts sum to n - 1).  Each row
+    is folded into one mixed-radix int64 code; when the radix would pass
+    2**62 the codes so far are re-ranked, so any panel width works.
+    """
+    _check_chain(panel, equation)
+    steps = np.column_stack([panel.states[:-1], panel.states[1:, equation]])
+    sizes = (*panel.alphabet_sizes, panel.alphabet_sizes[equation])
+    codes = np.zeros(len(steps), dtype=np.int64)
+    radix = 1
+    for column, m in zip(steps.T, sizes):
+        if radix * m > 2**62:
+            # order-preserving ranks fit in far fewer digits than the codes
+            codes = np.unique(codes, return_inverse=True)[1].astype(np.int64)
+            radix = int(codes.max()) + 1
+        codes = codes * m + (column - 1)
+        radix *= m
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    return steps[first], counts
+
+
 def empirical_distribution(panel: Panel, chain: int) -> np.ndarray:
     """Relative frequency of each state of one chain over t = 1..n."""
     _check_chain(panel, chain)

@@ -6,6 +6,10 @@ of chain j's next state is sum_k w_jk * P_jk(. | state of chain k).
 Transition matrices come from empirical counts; weights are estimated
 either by likelihood hill-climbing with stepwise mass reallocation or
 by the min-max linear program on stationary distributions.
+
+The likelihood depends on the data only through the counts of distinct
+(lagged states of every chain, next state) patterns, so it is scored on
+one row per pattern, weighted by its count, not on one row per step.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import numpy as np
 import scipy.optimize
 
 from ._mixture import mixture_gradient, mixture_hessian, mixture_loglik
-from .data import Panel, TransitionMatrix, empirical_distribution, transition_matrix_grid
+from .data import Panel, TransitionMatrix, count_transitions, empirical_distribution
+from .data import row_normalize, transition_matrix_grid, transition_patterns
 from .exceptions import EstimationError
 from .inference import FitReport, equation_report
 
@@ -40,7 +45,10 @@ class MtdModel:
 
 
 def realized_prob_tensor(panel: Panel, transmats: list[list[TransitionMatrix]], equation: int) -> np.ndarray:
-    """(n-1, s) tensor: [t, k] = P_jk(realized state of j at t+1 | state of k at t)."""
+    """(n-1, s) tensor: [t, k] = P_jk(realized state of j at t+1 | state of k at t).
+
+    The per-step form of _pattern_prob_tensor, kept as its oracle.
+    """
     s = panel.n_chains
     dst = panel.states[1:, equation] - 1
     cols = []
@@ -48,6 +56,22 @@ def realized_prob_tensor(panel: Panel, transmats: list[list[TransitionMatrix]], 
         src = panel.states[:-1, k] - 1
         cols.append(transmats[equation][k].probs[src, dst])
     return np.column_stack(cols)
+
+
+def _pattern_prob_tensor(
+    panel: Panel, transmats: list[list[TransitionMatrix]], equation: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(r, s) tensor over the r distinct transition patterns, and their counts.
+
+    Row r is realized_prob_tensor's row for any step with pattern r, so
+    the count-weighted mixture likelihood on it equals the per-step one.
+    """
+    patterns, counts = transition_patterns(panel, equation)
+    dst = patterns[:, -1] - 1
+    q = np.column_stack(
+        [transmats[equation][k].probs[patterns[:, k] - 1, dst] for k in range(panel.n_chains)]
+    )
+    return q, counts.astype(float)
 
 
 def mtd_predict(model: MtdModel, lagged_states) -> list[np.ndarray]:
@@ -73,7 +97,7 @@ def mtd_loglik(
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     return np.array(
         [
-            mixture_loglik(weights[j], realized_prob_tensor(panel, transmats, j))
+            mixture_loglik(weights[j], *_pattern_prob_tensor(panel, transmats, j))
             for j in range(panel.n_chains)
         ]
     )
@@ -82,7 +106,7 @@ def mtd_loglik(
 def mtd_hessian(panel: Panel, model: MtdModel) -> list[np.ndarray]:
     """Per-equation Hessian of the log-likelihood in the mixture weights."""
     return [
-        mixture_hessian(model.weights[j], realized_prob_tensor(panel, model.transmats, j))
+        mixture_hessian(model.weights[j], *_pattern_prob_tensor(panel, model.transmats, j))
         for j in range(panel.n_chains)
     ]
 
@@ -100,10 +124,12 @@ def estimate_mtd(
     coordinate, pairs ordered by the log-likelihood gradient; when no
     transfer improves the likelihood the step is halved, until it drops
     below ``delta_stop``.  Transfers keep the weights summing to one;
-    constrained mode additionally keeps them non-negative.
+    constrained mode additionally keeps them non-negative.  The
+    likelihood is scored on the distinct transition patterns with their
+    counts.
     """
-    if delta_stop <= 0:
-        raise ValueError(f"delta_stop must be > 0, got {delta_stop}")
+    if not (np.isfinite(delta_stop) and delta_stop > 0):
+        raise ValueError(f"delta_stop must be finite and > 0, got {delta_stop}")
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
 
@@ -116,10 +142,10 @@ def estimate_mtd(
     equations = []
 
     for j in range(s):
-        q = realized_prob_tensor(panel, transmats, j)
+        q, counts = _pattern_prob_tensor(panel, transmats, j)
         starts = [np.full(s, 1.0 / s)]
         starts.extend(np.eye(s)[v] for v in range(s))
-        start_lls = [mixture_loglik(w, q) for w in starts]
+        start_lls = [mixture_loglik(w, q, counts) for w in starts]
         if not any(np.isfinite(ll) for ll in start_lls):
             raise EstimationError(
                 f"equation {j}: log-likelihood is -inf at every candidate start"
@@ -134,7 +160,7 @@ def estimate_mtd(
         for w0, ll0 in zip(starts, start_lls):
             if not np.isfinite(ll0):
                 continue
-            w, ll = _reallocate(q, w0.copy(), ll0, delta, delta_stop, is_constrained)
+            w, ll = _reallocate(q, counts, w0.copy(), ll0, delta, delta_stop, is_constrained)
             if ll > best_ll:
                 best_w, best_ll = w, ll
         assert best_w is not None
@@ -144,7 +170,7 @@ def estimate_mtd(
         converged.append(True)
         flat_flags.append(flat)
 
-        hess = mixture_hessian(best_w, q)
+        hess = mixture_hessian(best_w, q, counts)
         std_errors = _hessian_std_errors(hess)
         warnings = []
         if flat:
@@ -169,14 +195,14 @@ def estimate_mtd(
     )
 
 
-def _reallocate(q, w, ll, delta, delta_stop, constrained):
+def _reallocate(q, counts, w, ll, delta, delta_stop, constrained):
     """Hill-climb the mixture log-likelihood by donor-to-recipient transfers."""
     s = w.size
     while delta >= delta_stop:
         improved = True
         while improved:
             improved = False
-            grad = mixture_gradient(w, q) if np.isfinite(ll) else np.zeros(s)
+            grad = mixture_gradient(w, q, counts) if np.isfinite(ll) else np.zeros(s)
             # candidate (donor, recipient) pairs ranked by first-order gain;
             # ties resolved by lowest donor then recipient index
             pairs = sorted(
@@ -193,7 +219,7 @@ def _reallocate(q, w, ll, delta, delta_stop, constrained):
                 cand[b] += delta
                 if constrained and cand[a] < 0:
                     cand[a] = 0.0
-                ll_cand = mixture_loglik(cand, q)
+                ll_cand = mixture_loglik(cand, q, counts)
                 if ll_cand > ll + 1e-12:
                     w, ll = cand, ll_cand
                     improved = True
@@ -210,14 +236,9 @@ def estimate_lambda_minmax(panel: Panel) -> np.ndarray:
     in (weights, bound).
     """
     s = panel.n_chains
-    dists = [empirical_distribution(panel, k) for k in range(s)]
-    transmats = transition_matrix_grid(panel)
     weights = np.empty((s, s))
     for j in range(s):
-        # column b_k = predicted distribution of chain j from chain k's
-        # stationary profile
-        basis = np.column_stack([transmats[j][k].probs.T @ dists[k] for k in range(s)])
-        target = dists[j]
+        basis, target = _stationary_basis(panel, j)
         m_j = target.size
         # variables z = (w_1..w_s, u); minimize u
         c = np.zeros(s + 1)
@@ -249,13 +270,22 @@ def estimate_lambda_minmax(panel: Panel) -> np.ndarray:
 
 def minmax_objective(panel: Panel, equation: int, weights: np.ndarray) -> float:
     """Worst-coordinate stationary mismatch for one equation's weights."""
-    s = panel.n_chains
-    dists = [empirical_distribution(panel, k) for k in range(s)]
-    transmats = transition_matrix_grid(panel)
-    basis = np.column_stack(
-        [transmats[equation][k].probs.T @ dists[k] for k in range(s)]
-    )
-    return float(np.max(np.abs(basis @ np.asarray(weights) - dists[equation])))
+    basis, target = _stationary_basis(panel, equation)
+    return float(np.max(np.abs(basis @ np.asarray(weights) - target)))
+
+
+def _stationary_basis(panel: Panel, equation: int) -> tuple[np.ndarray, np.ndarray]:
+    """Min-max basis and target for one equation.
+
+    Column k is chain j's distribution predicted from chain k's
+    empirical profile, P_jk' xhat_k; the target is xhat_j.
+    """
+    dists = [empirical_distribution(panel, k) for k in range(panel.n_chains)]
+    columns = []
+    for k, dist in enumerate(dists):
+        transmat = row_normalize(count_transitions(panel, from_chain=k, to_chain=equation))
+        columns.append(transmat.probs.T @ dist)
+    return np.column_stack(columns), dists[equation]
 
 
 def _hessian_std_errors(hess: np.ndarray) -> Optional[np.ndarray]:

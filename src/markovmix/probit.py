@@ -21,7 +21,7 @@ import numpy as np
 
 from scipy.special import log_ndtr, logsumexp
 
-from .data import Panel, TransitionMatrix, transition_matrix_grid
+from .data import Panel, TransitionMatrix, transition_matrix_grid, transition_patterns
 from .inference import FitReport, equation_report, norm_cdf
 from .mtd import _hessian_std_errors
 from .optim import maximize_unconstrained, numeric_hessian
@@ -165,8 +165,7 @@ def _stack_plugin_probs(
     state) pattern, so there is one row per distinct pattern.
     """
     s = panel.n_chains
-    steps = np.column_stack([panel.states[:-1], panel.states[1:, equation]])
-    patterns, counts = np.unique(steps, axis=0, return_counts=True)
+    patterns, counts = transition_patterns(panel, equation)
     layers = [transmats[equation][k].probs[patterns[:, k] - 1, :] for k in range(s)]
     return np.stack(layers, axis=1), patterns[:, s] - 1, counts
 

@@ -233,6 +233,15 @@ class TestExitCodes:
         assert rc == EXIT_DATA
         assert "exist" in err or "error" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_delta_stop_is_a_usage_error(self, synthetic_files, capsys, value):
+        panel, _ = synthetic_files
+        rc = main(["estimate", "--model", "mtd", "--y", str(panel), "--delta-stop", value])
+        captured = capsys.readouterr()
+        assert rc == EXIT_USAGE
+        assert "delta_stop" in captured.err
+        assert captured.out == ""
+
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--model", "bogus", "--y", "x.csv"])

@@ -1,5 +1,7 @@
 """Panel encoding, transition counting, and series transforms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from markovmix.data import (
     read_panel_csv,
     row_normalize,
     transition_matrix_grid,
+    transition_patterns,
 )
 from markovmix.exceptions import DataError
 
@@ -109,6 +112,59 @@ class TestRowNormalize:
             for tm in row:
                 assert np.allclose(tm.probs.sum(axis=1), 1.0, atol=1e-12)
                 assert (tm.probs >= 0).all() and (tm.probs <= 1).all()
+
+
+def _unique_steps(panel, equation):
+    """np.unique oracle for transition_patterns."""
+    steps = np.column_stack([panel.states[:-1], panel.states[1:, equation]])
+    return np.unique(steps, axis=0, return_counts=True)
+
+
+class TestTransitionPatterns:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_unique_rows(self, data):
+        s = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(2, 50))
+        columns = []
+        for _ in range(s):
+            m = data.draw(st.integers(2, 5))
+            col = data.draw(st.lists(st.integers(1, m), min_size=n, max_size=n))
+            if len(set(col)) < 2:
+                col[:2] = [1, 2]
+            columns.append(col)
+        panel = encode_sequences(columns)
+        for j in range(s):
+            patterns, counts = transition_patterns(panel, j)
+            expected_patterns, expected_counts = _unique_steps(panel, j)
+            assert np.array_equal(patterns, expected_patterns)
+            assert np.array_equal(counts, expected_counts)
+            assert counts.sum() == n - 1
+
+    def test_wide_panel_reranks_codes(self):
+        # 9**30 patterns overflow an int64 mixed-radix code
+        rng = np.random.default_rng(30)
+        panel = encode_sequences([rng.integers(1, 10, 400).tolist() for _ in range(30)])
+        assert math.prod(panel.alphabet_sizes) > 2**62
+        for j in (0, 17, 29):
+            patterns, counts = transition_patterns(panel, j)
+            expected_patterns, expected_counts = _unique_steps(panel, j)
+            assert np.array_equal(patterns, expected_patterns)
+            assert np.array_equal(counts, expected_counts)
+            assert counts.sum() == panel.n_obs - 1
+
+    def test_repeated_steps_counted(self):
+        panel = encode_sequences([[1, 2, 1, 2, 1], [1, 1, 1, 1, 2]])
+        patterns, counts = transition_patterns(panel, 1)
+        # steps (lag of chain 0, lag of chain 1, next of chain 1):
+        # (1,1,1) (2,1,1) (1,1,1) (2,1,2)
+        assert patterns.tolist() == [[1, 1, 1], [2, 1, 1], [2, 1, 2]]
+        assert counts.tolist() == [2, 1, 1]
+
+    def test_bad_equation_rejected(self):
+        panel = encode_sequences([[1, 2, 1], [2, 1, 2]])
+        with pytest.raises(DataError, match="out of range"):
+            transition_patterns(panel, 2)
 
 
 class TestEmpiricalDistribution:

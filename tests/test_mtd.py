@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from markovmix.data import Panel, TransitionMatrix, encode_sequences
+from markovmix._mixture import mixture_gradient, mixture_hessian, mixture_loglik
+from markovmix.data import Panel, TransitionMatrix, encode_sequences, transition_matrix_grid
 from markovmix.mtd import (
     MtdModel,
+    _pattern_prob_tensor,
     estimate_lambda_minmax,
     estimate_mtd,
     minmax_objective,
@@ -191,6 +193,77 @@ class TestEstimateMtd:
             estimate_mtd(panel, delta_stop=0.0)
         with pytest.raises(ValueError):
             estimate_mtd(panel, delta=1.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_steps_rejected(self, value):
+        # a NaN or infinite delta_stop used to skip the hill-climb and
+        # report the uniform start as the fit
+        panel = encode_sequences([[1, 2, 1, 2], [2, 1, 1, 2]])
+        with pytest.raises(ValueError, match="delta_stop"):
+            estimate_mtd(panel, delta_stop=value)
+        with pytest.raises(ValueError, match="delta"):
+            estimate_mtd(panel, delta=value)
+
+    def test_logliks_match_per_step_form(self):
+        rng = np.random.default_rng(12)
+        source = simulate_homog_chain(np.array([[0.7, 0.2, 0.1], [0.2, 0.6, 0.2],
+                                                [0.3, 0.3, 0.4]]), 1500, rng=rng)
+        panel = encode_sequences([source.tolist(), np.roll(source, 1).tolist(),
+                                  rng.integers(1, 3, 1500).tolist()])
+        model = estimate_mtd(panel)
+        for j in range(panel.n_chains):
+            q = realized_prob_tensor(panel, model.transmats, j)
+            per_step = mixture_loglik(model.weights[j], q)
+            assert model.logliks[j] == pytest.approx(per_step, rel=1e-12)
+
+
+class TestCountedMixture:
+    """Counted mixture functions on distinct patterns against the per-step forms."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(44)
+        self.panel = encode_sequences([rng.integers(1, 4, 400).tolist(),
+                                       rng.integers(1, 3, 400).tolist(),
+                                       rng.integers(1, 4, 400).tolist()])
+        self.transmats = transition_matrix_grid(self.panel)
+        self.weights = np.array([0.5, 0.3, 0.2])
+
+    def _both_forms(self, j):
+        q, counts = _pattern_prob_tensor(self.panel, self.transmats, j)
+        assert q.shape[0] < self.panel.n_obs - 1
+        assert counts.sum() == self.panel.n_obs - 1
+        return (q, counts), realized_prob_tensor(self.panel, self.transmats, j)
+
+    def test_loglik(self):
+        for j in range(3):
+            (q, counts), per_step = self._both_forms(j)
+            counted = mixture_loglik(self.weights, q, counts)
+            assert counted == pytest.approx(mixture_loglik(self.weights, per_step), rel=1e-12)
+
+    def test_gradient(self):
+        for j in range(3):
+            (q, counts), per_step = self._both_forms(j)
+            counted = mixture_gradient(self.weights, q, counts)
+            expected = mixture_gradient(self.weights, per_step)
+            assert np.max(np.abs(counted - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_hessian(self):
+        for j in range(3):
+            (q, counts), per_step = self._both_forms(j)
+            counted = mixture_hessian(self.weights, q, counts)
+            expected = mixture_hessian(self.weights, per_step)
+            assert np.max(np.abs(counted - expected)) <= 1e-12 * np.max(np.abs(expected))
+            assert np.array_equal(counted, counted.T)
+
+    def test_hessian_matches_finite_differences(self):
+        q, counts = _pattern_prob_tensor(self.panel, self.transmats, 1)
+        numeric = numeric_hessian(lambda w: mixture_loglik(w, q, counts), self.weights)
+        analytic = mixture_hessian(self.weights, q, counts)
+        assert np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric)) < 1e-5
+
+    def test_zero_mixture_is_minus_inf(self):
+        q = np.array([[0.5, 0.0], [0.0, 0.4]])
+        assert mixture_loglik(np.array([1.0, 0.0]), q, np.array([3.0, 2.0])) == -math.inf
 
 
 class TestEstimateLambdaMinmax:
