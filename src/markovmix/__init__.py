@@ -75,7 +75,6 @@ from .mtd import (
     mtd_predict,
 )
 from .optim import (
-    ConstraintSet,
     OptimResult,
     maximize_auglag,
     maximize_unconstrained,

@@ -4,7 +4,7 @@ Both the multimatrix MTD and the covariate-driven model reduce, per
 equation, to weights on the simplex scoring a (rows, s) tensor ``q``
 whose entry [t, k] is the source-k conditional probability of the
 realized state at row t.  The log-likelihood, gradient, and Hessian
-in the weights live here.
+in the weights live here, and the standard errors that Hessian gives.
 
 A row is a time step, or, with ``counts``, a distinct (lagged states,
 next state) pattern that occurs ``counts[t]`` times: the MTD likelihood
@@ -45,3 +45,15 @@ def mixture_hessian(
     # sqrt(counts) on both factors keeps the product exactly symmetric
     scaled = q / (mix if counts is None else mix / np.sqrt(counts))[:, None]
     return -(scaled.T @ scaled)
+
+
+def _hessian_std_errors(hess: np.ndarray) -> Optional[np.ndarray]:
+    """sqrt(diag(-H^{-1})), or None when the Hessian is singular."""
+    try:
+        cov = np.linalg.inv(-hess)
+    except np.linalg.LinAlgError:
+        return None
+    diag = np.diag(cov)
+    if not np.isfinite(diag).all() or (diag < 0).any():
+        return None
+    return np.sqrt(diag)

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .data import (
+    _read_csv_rows,
     discretize_quantiles,
     log_returns,
     read_covariates_csv,
@@ -257,14 +258,12 @@ def _cmd_discretize(args) -> int:
 
 
 def _read_numeric_column(path, column, has_header: bool) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = rows[0] if has_header else None
-    data_rows = rows[1:] if has_header else rows
+    data_rows, header = _read_csv_rows(path, has_header)
     if column.isdigit() or (column.startswith("-") and column[1:].isdigit()):
         idx = int(column)
+        ncol = len(header or data_rows[0])
+        if not -ncol <= idx < ncol:
+            raise DataError(f"{path}: column {column} out of range for {ncol} column(s)")
     elif header is not None and column in header:
         idx = header.index(column)
     else:
@@ -272,7 +271,7 @@ def _read_numeric_column(path, column, has_header: bool) -> np.ndarray:
                         (f"; header is {header}" if header else " (file has no header)"))
     values = []
     for r, row in enumerate(data_rows):
-        if idx >= len(row) or row[idx].strip() == "":
+        if not -len(row) <= idx < len(row) or row[idx].strip() == "":
             raise DataError(f"{path}: missing cell at row {r + 1}")
         try:
             values.append(float(row[idx]))

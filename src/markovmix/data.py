@@ -382,8 +382,10 @@ def read_covariates_csv(path) -> CovariateMatrix:
 
 def _read_csv_rows(path, has_header: bool):
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        all_rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        try:
+            all_rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: not UTF-8 text ({err})") from None
     if not all_rows:
         raise DataError(f"{path}: empty file")
     if has_header:

@@ -4,11 +4,11 @@ Per equation j, the next-state distribution of chain j mixes
 non-homogeneous conditionals P(S_j,t | S_k,t-1, x) across source chains
 k with weights on the probability simplex.  The conditionals are
 multinomial-logit fits, estimated first and treated as plug-ins; the
-weights then maximize the mixture log-likelihood under the simplex
-constraints via the Augmented Lagrangian method, whose inner Newton
-steps use the analytic mixture Hessian.  Standard errors come
-from the analytic Hessian in the weights at the optimum (first-stage
-uncertainty is not propagated, a documented understatement).
+weights then maximize the mixture log-likelihood by an Augmented
+Lagrangian on the probability simplex, whose inner Newton steps use
+the analytic mixture Hessian.  Standard errors come from the analytic
+Hessian in the weights at the optimum (first-stage uncertainty is not
+propagated, a documented understatement).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._mixture import mixture_gradient, mixture_hessian, mixture_loglik
+from ._mixture import _hessian_std_errors, mixture_gradient, mixture_hessian, mixture_loglik
 from .data import CovariateMatrix, Panel, moving_average
 from .exceptions import DataError, EstimationError
 from .inference import FitReport, equation_report
@@ -30,8 +30,7 @@ from .mnlogit import (
     fit_mnlogit,
     predict_probs,
 )
-from .mtd import _hessian_std_errors
-from .optim import ConstraintSet, maximize_auglag, project_simplex
+from .optim import maximize_auglag, project_simplex
 from .schemas import FIT_SCHEMA, check_structure
 
 FIT_FORMAT = "markovmix-gmmc-fit"
@@ -141,13 +140,6 @@ def estimate_gmmc(
 
     tensors, submodels, train_probs = build_prob_tensor(panel, covariates, x_lag=x_lag)
 
-    constraints = ConstraintSet(
-        equalities=[lambda w: float(w.sum() - 1.0)],
-        inequalities=[(lambda w, i=i: float(w[i])) for i in range(s)],
-        equality_jacobians=[lambda w: np.ones(s)],
-        inequality_jacobians=[(lambda w, i=i: np.eye(s)[i]) for i in range(s)],
-    )
-
     weights = np.empty((s, s))
     logliks = np.empty(s)
     hessians: list[np.ndarray] = []
@@ -157,11 +149,9 @@ def estimate_gmmc(
         q = tensors[j]
         result = maximize_auglag(
             lambda w: mixture_loglik(w, q),
-            constraints,
             start,
-            gradient=lambda w: mixture_gradient(w, q),
-            hessian=lambda w: mixture_hessian(w, q),
-            inner_method="newton-raphson",
+            lambda w: mixture_gradient(w, q),
+            lambda w: mixture_hessian(w, q),
         )
         # the solver satisfies the constraints to tolerance; snap the last
         # ~1e-7 onto the simplex so downstream invariants hold exactly

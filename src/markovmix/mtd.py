@@ -15,12 +15,11 @@ one row per pattern, weighted by its count, not on one row per step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.optimize
 
-from ._mixture import mixture_gradient, mixture_hessian, mixture_loglik
+from ._mixture import _hessian_std_errors, mixture_gradient, mixture_hessian, mixture_loglik
 from .data import Panel, TransitionMatrix, count_transitions, empirical_distribution
 from .data import row_normalize, transition_matrix_grid, transition_patterns
 from .exceptions import EstimationError
@@ -286,15 +285,3 @@ def _stationary_basis(panel: Panel, equation: int) -> tuple[np.ndarray, np.ndarr
         transmat = row_normalize(count_transitions(panel, from_chain=k, to_chain=equation))
         columns.append(transmat.probs.T @ dist)
     return np.column_stack(columns), dists[equation]
-
-
-def _hessian_std_errors(hess: np.ndarray) -> Optional[np.ndarray]:
-    """sqrt(diag(-H^{-1})), or None when the Hessian is singular."""
-    try:
-        cov = np.linalg.inv(-hess)
-    except np.linalg.LinAlgError:
-        return None
-    diag = np.diag(cov)
-    if not np.isfinite(diag).all() or (diag < 0).any():
-        return None
-    return np.sqrt(diag)

@@ -8,22 +8,22 @@ maximized; minimization happens internally.  Contents:
   - maximize_unconstrained: newton-raphson | bfgs | nelder-mead; Newton
     uses an analytic Hessian when given (else central differences) and
     shifts an indefinite one to positive definite (modified Newton)
-  - maximize_auglag: Augmented Lagrangian for equality + inequality
-    constrained maximization; an analytic Hessian of f gives its inner
-    Newton steps the exact Hessian of the augmented objective for
-    linear constraints
+  - maximize_auglag: Augmented Lagrangian on the probability simplex
+    (sum(w) = 1, w >= 0) with Newton inner steps on the exact Hessian
+    of the augmented objective, built from the caller's analytic
+    gradient and Hessian of f
 
-Default tolerances: gradient/KKT 1e-6, equality constraints 1e-6,
-iteration caps 500 (inner) / 50 (outer), penalty growth 10 from an
-initial penalty of 1.  Line searches backtrack with the Armijo
-condition (contraction 0.5, slope factor 1e-4); a non-finite objective
-during a line search shrinks the step instead of failing, so log(0)
-near a boundary is survivable.
+Tolerances: gradient/KKT 1e-6, sum constraint 1e-6, bounds 1e-8;
+iteration caps 500 (inner) / 50 (outer); penalty growth 10 from an
+initial penalty of 1, capped at 1e12.  Line searches backtrack with
+the Armijo condition (contraction 0.5, slope factor 1e-4); a
+non-finite objective during a line search shrinks the step instead of
+failing, so log(0) near a boundary is survivable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ INEQ_TOL = 1e-8
 MAX_INNER_ITER = 500
 MAX_OUTER_ITER = 50
 PENALTY_GROWTH = 10.0
+MAX_PENALTY = 1e12
 INITIAL_PENALTY = 1.0
 ARMIJO_SLOPE = 1e-4
 NEWTON_SHIFT = 1e-8  # smallest Hessian eigenvalue kept, relative to its largest entry
@@ -53,44 +54,6 @@ class OptimResult:
     iterations: int
     gradient: Optional[np.ndarray] = None
     message: str = ""
-
-
-@dataclass
-class ConstraintSet:
-    """Equality constraints h(x) = 0 and inequality constraints g(x) >= 0.
-
-    Jacobians are optional; when omitted they are approximated by
-    central differences.
-    """
-
-    equalities: list[Callable[[np.ndarray], float]] = field(default_factory=list)
-    inequalities: list[Callable[[np.ndarray], float]] = field(default_factory=list)
-    equality_jacobians: Optional[list[Callable[[np.ndarray], np.ndarray]]] = None
-    inequality_jacobians: Optional[list[Callable[[np.ndarray], np.ndarray]]] = None
-
-    def eq_values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([h(x) for h in self.equalities], dtype=float)
-
-    def ineq_values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([g(x) for g in self.inequalities], dtype=float)
-
-    def eq_jacobian(self, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-        if self.equality_jacobians is not None:
-            return np.array([jac(x) for jac in self.equality_jacobians], dtype=float)
-        return np.array([numeric_gradient(fn, x, h) for fn in self.equalities])
-
-    def ineq_jacobian(self, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-        if self.inequality_jacobians is not None:
-            return np.array([jac(x) for jac in self.inequality_jacobians], dtype=float)
-        return np.array([numeric_gradient(fn, x, h) for fn in self.inequalities])
-
-    def violation(self, x: np.ndarray) -> float:
-        v = 0.0
-        if self.equalities:
-            v = max(v, float(np.max(np.abs(self.eq_values(x)))))
-        if self.inequalities:
-            v = max(v, float(np.max(np.maximum(0.0, -self.ineq_values(x)))))
-        return v
 
 
 def numeric_gradient(f: Callable, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -278,42 +241,32 @@ def _armijo_descent(f, x, fx, g, direction, max_backtracks: int = 60):
 
 def maximize_auglag(
     f: Callable[[np.ndarray], float],
-    constraints: ConstraintSet,
     start: Sequence[float],
-    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    inner_method: str = "bfgs",
-    gtol: float = GRAD_TOL,
-    eq_tol: float = EQ_TOL,
-    ineq_tol: float = INEQ_TOL,
-    max_outer_iter: int = MAX_OUTER_ITER,
-    max_inner_iter: int = MAX_INNER_ITER,
-    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    gradient: Callable[[np.ndarray], np.ndarray],
+    hessian: Callable[[np.ndarray], np.ndarray],
 ) -> OptimResult:
-    """Maximize f subject to h(x) = 0 and g(x) >= 0 from a feasible start.
+    """Maximize f over the probability simplex from a feasible start.
 
-    Outer iterations update multipliers and the penalty; each inner
-    solve is an unconstrained maximization of the augmented objective.
-    Convergence requires the KKT stationarity residual at or below
-    ``gtol``, |h| <= ``eq_tol``, and g >= -``ineq_tol``.  ``hessian``,
-    the Hessian of f, is passed on to the inner solver (use it with
-    ``inner_method="newton-raphson"``) with the penalty curvature
-    -rho J'J of the equalities and active inequalities added, which
-    omits only the constraints' own second derivatives.
+    The constraints are sum(w) - 1 = 0, with one scalar multiplier, and
+    w >= 0, with one multiplier per coordinate.  Outer iterations update
+    the multipliers and the penalty rho; each inner solve maximizes the
+    augmented objective with Newton steps on its Hessian, the Hessian of
+    f minus rho on every entry (the sum) and minus rho more on the
+    diagonal of each active bound, exact because the constraints are
+    linear.  Convergence requires the KKT stationarity residual at or
+    below ``GRAD_TOL``, |sum(w) - 1| <= ``EQ_TOL`` and w >= -``INEQ_TOL``.
     """
     x = np.asarray(start, dtype=float)
-    if constraints.violation(x) > 1e-8:
+    if _simplex_violation(x) > 1e-8:
         raise EstimationError(
-            f"starting point violates constraints by {constraints.violation(x):.3e}; "
+            f"starting point violates constraints by {_simplex_violation(x):.3e}; "
             "supply a feasible start"
         )
     if not np.isfinite(f(x)):
         raise EstimationError("objective is not finite at the starting point")
 
-    grad_f = gradient if gradient is not None else (lambda z: numeric_gradient(f, z))
-    n_eq = len(constraints.equalities)
-    n_ineq = len(constraints.inequalities)
-    mu = np.zeros(n_eq)  # equality multipliers
-    nu = np.zeros(n_ineq)  # inequality multipliers, kept >= 0
+    mu = 0.0  # multiplier of sum(w) - 1
+    nu = np.zeros(x.size)  # multipliers of w >= 0, kept >= 0
     rho = INITIAL_PENALTY
 
     def augmented(z: np.ndarray) -> float:
@@ -322,88 +275,58 @@ def maximize_auglag(
         val = f(z)
         if not np.isfinite(val):
             return val
-        hv = constraints.eq_values(z) if n_eq else np.empty(0)
-        gv = constraints.ineq_values(z) if n_ineq else np.empty(0)
-        penalty = float(mu @ hv) + 0.5 * rho * float(hv @ hv)
-        if n_ineq:
-            shifted = nu / rho - gv
-            active = shifted > 0
-            penalty += 0.5 * rho * float(shifted[active] @ shifted[active])
-            penalty -= float(nu @ nu) / (2.0 * rho)
+        hv = float(z.sum() - 1.0)
+        penalty = mu * hv + 0.5 * rho * (hv * hv)
+        shifted = nu / rho - z
+        active = shifted > 0
+        penalty += 0.5 * rho * float(shifted[active] @ shifted[active])
+        penalty -= float(nu @ nu) / (2.0 * rho)
         return val - penalty
 
     def augmented_gradient(z: np.ndarray) -> np.ndarray:
-        g = grad_f(z)
-        if n_eq:
-            hv = constraints.eq_values(z)
-            jac = constraints.eq_jacobian(z)
-            g = g - (mu + rho * hv) @ jac
-        if n_ineq:
-            gv = constraints.ineq_values(z)
-            jac = constraints.ineq_jacobian(z)
-            mult = np.maximum(0.0, nu - rho * gv)
-            g = g + mult @ jac
-        return g
+        hv = float(z.sum() - 1.0)
+        return gradient(z) - (mu + rho * hv) + np.maximum(0.0, nu - rho * z)
 
     def augmented_hessian(z: np.ndarray) -> np.ndarray:
-        hess = hessian(z)
-        if n_eq:
-            jac = constraints.eq_jacobian(z)
-            hess = hess - rho * jac.T @ jac
-        if n_ineq:
-            jac = constraints.ineq_jacobian(z)[nu - rho * constraints.ineq_values(z) > 0]
-            hess = hess - rho * jac.T @ jac
+        hess = hessian(z) - rho
+        bound = np.flatnonzero(nu - rho * z > 0)
+        hess[bound, bound] -= rho
         return hess
 
     converged = False
     total_inner = 0
     prev_violation = np.inf
     message = "outer iteration cap reached"
-    for outer in range(1, max_outer_iter + 1):
+    for outer in range(1, MAX_OUTER_ITER + 1):
         # loose inner tolerance on early outer rounds, full tolerance later
-        inner_gtol = gtol * 10.0 ** max(0, 3 - outer)
         inner = maximize_unconstrained(
             augmented,
             x,
-            method=inner_method,
+            method="newton-raphson",
             gradient=augmented_gradient,
-            gtol=inner_gtol,
-            max_iter=max_inner_iter,
-            hessian=augmented_hessian if hessian is not None else None,
+            gtol=GRAD_TOL * 10.0 ** max(0, 3 - outer),
+            max_iter=MAX_INNER_ITER,
+            hessian=augmented_hessian,
         )
         x = inner.argmax
         total_inner += inner.iterations
-
-        hv = constraints.eq_values(x) if n_eq else np.empty(0)
-        gv = constraints.ineq_values(x) if n_ineq else np.empty(0)
-        violation = 0.0
-        if n_eq:
-            violation = max(violation, float(np.max(np.abs(hv))))
-        if n_ineq:
-            violation = max(violation, float(np.max(np.maximum(0.0, -gv))))
+        hv = float(x.sum() - 1.0)
+        violation = _simplex_violation(x)
 
         # first-order multiplier updates
         mu = mu + rho * hv
-        nu = np.maximum(0.0, nu - rho * gv)
+        nu = np.maximum(0.0, nu - rho * x)
 
         # KKT stationarity with the updated multipliers
-        stat = grad_f(x)
-        if n_eq:
-            stat = stat - mu @ constraints.eq_jacobian(x)
-        if n_ineq:
-            stat = stat + nu @ constraints.ineq_jacobian(x)
-        stationarity = float(np.max(np.abs(stat))) if stat.size else 0.0
-
-        eq_ok = (not n_eq) or float(np.max(np.abs(hv))) <= eq_tol
-        ineq_ok = (not n_ineq) or float(np.min(gv)) >= -ineq_tol
-        if eq_ok and ineq_ok and stationarity <= gtol:
+        stationarity = float(np.max(np.abs(gradient(x) - mu + nu)))
+        if abs(hv) <= EQ_TOL and float(np.min(x)) >= -INEQ_TOL and stationarity <= GRAD_TOL:
             converged = True
             message = "KKT conditions satisfied"
             break
 
-        if violation > 0.25 * prev_violation and violation > eq_tol:
+        if violation > 0.25 * prev_violation and violation > EQ_TOL:
             rho *= PENALTY_GROWTH
-        if rho > 1e12:
+        if rho > MAX_PENALTY:
             message = "penalty overflow: constraint violation not decreasing"
             break
         prev_violation = max(violation, 1e-300)
@@ -413,6 +336,11 @@ def maximize_auglag(
         value=float(f(x)),
         converged=converged,
         iterations=total_inner,
-        gradient=grad_f(x),
+        gradient=gradient(x),
         message=message,
     )
+
+
+def _simplex_violation(w: np.ndarray) -> float:
+    """Largest violation of sum(w) = 1 and of w >= 0."""
+    return max(0.0, abs(float(w.sum() - 1.0)), float(np.max(np.maximum(0.0, -w))))

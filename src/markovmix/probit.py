@@ -21,9 +21,9 @@ import numpy as np
 
 from scipy.special import log_ndtr, logsumexp
 
+from ._mixture import _hessian_std_errors
 from .data import Panel, TransitionMatrix, transition_matrix_grid, transition_patterns
 from .inference import FitReport, equation_report, norm_cdf
-from .mtd import _hessian_std_errors
 from .optim import maximize_unconstrained, numeric_hessian
 
 

@@ -226,6 +226,15 @@ class TestDiscretizeCommand:
         assert rc == EXIT_DATA
 
 
+    @pytest.mark.parametrize("column", ["-5", "1"])
+    def test_out_of_range_column_is_a_data_error(self, tmp_path, capsys, column):
+        src = tmp_path / "one.csv"
+        src.write_text("v\n1.5\n2.5\n")
+        rc = main(["discretize", "--input", str(src), "--column", column])
+        assert rc == EXIT_DATA
+        assert f"column {column} out of range" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_missing_file_exit_code(self, capsys):
         rc = main(["estimate", "--model", "mtd", "--y", "/does/not/exist.csv"])
@@ -240,6 +249,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert rc == EXIT_USAGE
         assert "delta_stop" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("role", ["--y", "--x", "--input"])
+    def test_non_utf8_csv_is_a_data_error(self, synthetic_files, tmp_path, capsys, role):
+        panel, cov = synthetic_files
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("x\n1.5\n2,5 \u00e9\n".encode("latin-1"))
+        argv = {
+            "--y": ["estimate", "--model", "mtd", "--y", str(bad)],
+            "--x": ["estimate", "--model", "gmmc", "--y", str(panel), "--x", str(bad)],
+            "--input": ["discretize", "--input", str(bad), "--column", "x"],
+        }[role]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == EXIT_DATA
+        assert f"{bad}: not UTF-8 text" in captured.err
         assert captured.out == ""
 
     def test_usage_error_from_argparse(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,6 @@ from markovmix.data import CovariateMatrix, Panel
 from markovmix.exceptions import EstimationError
 from markovmix.gmmc import build_prob_tensor
 from markovmix.optim import (
-    ConstraintSet,
     maximize_auglag,
     maximize_unconstrained,
     numeric_gradient,
@@ -21,18 +21,6 @@ from markovmix.optim import (
 from markovmix.simulation import simulate_homog_chain, simulate_nonhomog_chain
 
 METHODS = ["newton-raphson", "bfgs", "nelder-mead"]
-
-
-def _simplex(s):
-    return ConstraintSet(
-        equalities=[lambda w: float(w.sum() - 1.0)],
-        inequalities=[(lambda w, i=i: float(w[i])) for i in range(s)],
-        equality_jacobians=[lambda w: np.ones(s)],
-        inequality_jacobians=[(lambda w, i=i: np.eye(s)[i]) for i in range(s)],
-    )
-
-
-SIMPLEX_2 = _simplex(2)
 
 
 class TestMaximizeUnconstrained:
@@ -171,20 +159,29 @@ class TestProjectSimplex:
         assert np.max(np.abs(again - out)) < 1e-12
 
 
+def _quadratic(target):
+    """-|w - target|^2 with its closed-form gradient and Hessian."""
+    target = np.asarray(target, dtype=float)
+    return (
+        lambda w: -float(((w - target) ** 2).sum()),
+        lambda w: -2.0 * (w - target),
+        lambda w: -2.0 * np.eye(target.size),
+    )
+
+
 class TestMaximizeAuglag:
     def test_interior_optimum(self):
-        res = maximize_auglag(
-            lambda w: -((w[0] - 0.7) ** 2) - (w[1] - 0.3) ** 2, SIMPLEX_2, [0.5, 0.5]
-        )
+        f, grad, hess = _quadratic([0.7, 0.3])
+        res = maximize_auglag(f, [0.5, 0.5], grad, hess)
         assert res.converged
         assert np.max(np.abs(res.argmax - [0.7, 0.3])) < 1e-5
 
     def test_vertex_solution(self):
         res = maximize_auglag(
             lambda w: float(w[0]),
-            SIMPLEX_2,
             [0.5, 0.5],
-            gradient=lambda w: np.array([1.0, 0.0]),
+            lambda w: np.array([1.0, 0.0]),
+            lambda w: np.zeros((2, 2)),
         )
         assert res.converged
         assert np.max(np.abs(res.argmax - [1.0, 0.0])) < 1e-6
@@ -193,27 +190,24 @@ class TestMaximizeAuglag:
         # max -(w0 - 2)^2 on the simplex pushes w0 to its largest value 1
         res = maximize_auglag(
             lambda w: -((w[0] - 2.0) ** 2),
-            SIMPLEX_2,
             [0.5, 0.5],
-            gradient=lambda w: np.array([-2.0 * (w[0] - 2.0), 0.0]),
+            lambda w: np.array([-2.0 * (w[0] - 2.0), 0.0]),
+            lambda w: np.array([[-2.0, 0.0], [0.0, 0.0]]),
         )
         assert res.converged
         assert abs(res.argmax[0] - 1.0) < 1e-5
         assert abs(res.argmax[1]) < 1e-6
 
     def test_infeasible_start_rejected(self):
+        f, grad, hess = _quadratic([0.5, 0.5])
         with pytest.raises(EstimationError, match="feasible"):
-            maximize_auglag(lambda w: float(w[0]), SIMPLEX_2, [0.9, 0.9])
+            maximize_auglag(f, [0.9, 0.9], grad, hess)
 
     def test_constraint_residuals_at_convergence(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
-            target = rng.uniform(-0.5, 1.5, size=2)
-
-            def f(w):
-                return -float(((w - target) ** 2).sum())
-
-            res = maximize_auglag(f, SIMPLEX_2, [0.5, 0.5])
+            f, grad, hess = _quadratic(rng.uniform(-0.5, 1.5, size=2))
+            res = maximize_auglag(f, [0.5, 0.5], grad, hess)
             if res.converged:
                 assert abs(res.argmax.sum() - 1.0) <= 1e-6
                 assert res.argmax.min() >= -1e-8
@@ -245,17 +239,15 @@ class TestAuglagAnalyticHessian:
         monkeypatch.setattr(optim, "maximize_unconstrained", spy)
         res = maximize_auglag(
             lambda w: mixture_loglik(w, q),
-            _simplex(3),
             np.full(3, 1.0 / 3.0),
-            gradient=lambda w: mixture_gradient(w, q),
-            hessian=lambda w: mixture_hessian(w, q),
-            inner_method="newton-raphson",
+            lambda w: mixture_gradient(w, q),
+            lambda w: mixture_hessian(w, q),
         )
         assert res.converged
         assert checked and set(checked) == {"newton-raphson"}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_newton_inner_agrees_with_bfgs_inner(self, seed):
+    def test_agrees_with_slsqp_oracle(self, seed):
         rng = np.random.default_rng(seed)
         n = 600
         x = rng.normal(2.0, 5.0, size=n)
@@ -265,18 +257,25 @@ class TestAuglagAnalyticHessian:
         panel = Panel(np.column_stack([s1, s2, s3]), (2, 2, 2))
         tensors, _, _ = build_prob_tensor(panel, CovariateMatrix(x.reshape(-1, 1), ["x"]))
         for q in tensors:
-            common = dict(
-                f=lambda w: mixture_loglik(w, q),
-                constraints=_simplex(3),
-                start=np.full(3, 1.0 / 3.0),
-                gradient=lambda w: mixture_gradient(w, q),
+            start = np.full(3, 1.0 / 3.0)
+            res = maximize_auglag(
+                lambda w: mixture_loglik(w, q),
+                start,
+                lambda w: mixture_gradient(w, q),
+                lambda w: mixture_hessian(w, q),
             )
-            bfgs = maximize_auglag(**common)
-            newton = maximize_auglag(
-                **common,
-                hessian=lambda w: mixture_hessian(w, q),
-                inner_method="newton-raphson",
+            oracle = scipy.optimize.minimize(
+                lambda w: -mixture_loglik(w, q),
+                start,
+                jac=lambda w: -mixture_gradient(w, q),
+                method="SLSQP",
+                bounds=[(0.0, 1.0)] * 3,
+                constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0,
+                              "jac": lambda w: np.ones(3)}],
+                options={"ftol": 1e-14, "maxiter": 500},
             )
-            assert bfgs.converged and newton.converged
-            assert np.max(np.abs(newton.argmax - bfgs.argmax)) <= 1e-6
-            assert newton.value >= bfgs.value - 1e-6 * abs(bfgs.value)
+            assert res.converged and oracle.success
+            lam, lam_oracle = project_simplex(res.argmax), project_simplex(oracle.x)
+            assert np.max(np.abs(lam - lam_oracle)) <= 1e-6
+            ll, ll_oracle = mixture_loglik(lam, q), mixture_loglik(lam_oracle, q)
+            assert ll >= ll_oracle - 1e-6 * abs(ll_oracle)
