@@ -3,7 +3,7 @@
 Three estimators over aligned categorical sequences:
 
   - ``estimate_mtd``: multimatrix mixture of empirical lag-one
-    transition probabilities, simplex-constrained weights;
+    transition probabilities, simplex weights by exact Newton solves;
   - ``estimate_mtd_probit``: normal-CDF-link mixture over plug-in
     transition probabilities, unconstrained parameters;
   - ``estimate_gmmc``: mixture of covariate-driven (non-homogeneous)
@@ -77,6 +77,7 @@ from .mtd import (
 from .optim import (
     OptimResult,
     maximize_auglag,
+    maximize_simplex,
     maximize_unconstrained,
     numeric_gradient,
     numeric_hessian,

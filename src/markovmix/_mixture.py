@@ -47,6 +47,17 @@ def mixture_hessian(
     return -(scaled.T @ scaled)
 
 
+def _is_flat(q: np.ndarray, weights: np.ndarray, counts: Optional[np.ndarray] = None) -> bool:
+    """Likelihood spread across simplex vertices, the center, and the estimate."""
+    s = q.shape[1]
+    points = [np.eye(s)[v] for v in range(s)]
+    points.append(np.full(s, 1.0 / s))
+    points.append(weights)
+    values = [mixture_loglik(p, q, counts) for p in points]
+    finite = [v for v in values if np.isfinite(v)]
+    return len(finite) == len(values) and (max(finite) - min(finite)) < 1e-6
+
+
 def _hessian_std_errors(hess: np.ndarray) -> Optional[np.ndarray]:
     """sqrt(diag(-H^{-1})), or None when the Hessian is singular."""
     try:

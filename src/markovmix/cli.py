@@ -69,8 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--x", default=None, help="covariate CSV (header required)")
     est.add_argument("--x-lag", type=int, default=1, help="covariate lag (default 1)")
     est.add_argument("--initial", default=None, help="comma-separated initial values")
-    est.add_argument("--delta", type=float, default=0.1, help="mtd reallocation step")
-    est.add_argument("--delta-stop", type=float, default=1e-4, help="mtd stopping step size")
     est.add_argument(
         "--constrained",
         default="true",
@@ -147,12 +145,7 @@ def _cmd_estimate(args) -> int:
         if args.save_fit:
             save_fit(fit, args.save_fit)
     elif args.model == "mtd":
-        model = estimate_mtd(
-            panel,
-            delta_stop=args.delta_stop,
-            delta=args.delta,
-            is_constrained=args.constrained == "true",
-        )
+        model = estimate_mtd(panel, is_constrained=args.constrained == "true")
         report = model.fit_report
         converged = all(model.converged)
     else:  # mtd-probit

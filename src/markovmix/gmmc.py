@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._mixture import _hessian_std_errors, mixture_gradient, mixture_hessian, mixture_loglik
+from ._mixture import _hessian_std_errors, _is_flat, mixture_gradient, mixture_hessian, mixture_loglik
 from .data import CovariateMatrix, Panel, moving_average
 from .exceptions import DataError, EstimationError
 from .inference import FitReport, equation_report
@@ -193,17 +193,6 @@ def estimate_gmmc(
         train_probs=train_probs,
         prob_tensors=tensors,
     )
-
-
-def _is_flat(q: np.ndarray, lam: np.ndarray) -> bool:
-    """Likelihood spread across simplex vertices, the center, and the estimate."""
-    s = q.shape[1]
-    points = [np.eye(s)[v] for v in range(s)]
-    points.append(np.full(s, 1.0 / s))
-    points.append(lam)
-    values = [mixture_loglik(p, q) for p in points]
-    finite = [v for v in values if np.isfinite(v)]
-    return len(finite) == len(values) and (max(finite) - min(finite)) < 1e-6
 
 
 def _submodel_distribution(

@@ -4,8 +4,9 @@ Each equation j mixes lag-one transition probabilities from every chain
 with weights on the probability simplex: the conditional distribution
 of chain j's next state is sum_k w_jk * P_jk(. | state of chain k).
 Transition matrices come from empirical counts; weights are estimated
-either by likelihood hill-climbing with stepwise mass reallocation or
-by the min-max linear program on stationary distributions.
+either by maximum likelihood, one active-set Newton solve on the
+simplex per equation, or by the min-max linear program on stationary
+distributions.
 
 The likelihood depends on the data only through the counts of distinct
 (lagged states of every chain, next state) patterns, so it is scored on
@@ -19,13 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from ._mixture import _hessian_std_errors, mixture_gradient, mixture_hessian, mixture_loglik
+from ._mixture import _hessian_std_errors, _is_flat, mixture_gradient, mixture_hessian, mixture_loglik
 from .data import Panel, TransitionMatrix, count_transitions, empirical_distribution
 from .data import row_normalize, transition_matrix_grid, transition_patterns
 from .exceptions import EstimationError
 from .inference import FitReport, equation_report
-
-FLAT_LL_TOL = 1e-6
+from .optim import maximize_simplex
 
 
 @dataclass
@@ -110,121 +110,54 @@ def mtd_hessian(panel: Panel, model: MtdModel) -> list[np.ndarray]:
     ]
 
 
-def estimate_mtd(
-    panel: Panel,
-    delta_stop: float = 1e-4,
-    delta: float = 0.1,
-    is_constrained: bool = True,
-) -> MtdModel:
-    """Estimate mixture weights per equation by stepwise mass reallocation.
+def estimate_mtd(panel: Panel, is_constrained: bool = True) -> MtdModel:
+    """Estimate mixture weights per equation by maximum likelihood.
 
-    Starting from the uniform weights and from every simplex vertex,
-    repeatedly move ``delta`` of weight from a donor to a recipient
-    coordinate, pairs ordered by the log-likelihood gradient; when no
-    transfer improves the likelihood the step is halved, until it drops
-    below ``delta_stop``.  Transfers keep the weights summing to one;
-    constrained mode additionally keeps them non-negative.  The
-    likelihood is scored on the distinct transition patterns with their
-    counts.
+    The log-likelihood, scored on the distinct transition patterns with
+    their counts, is concave in the weights, so one active-set Newton
+    solve on the simplex (``optim.maximize_simplex``) from the uniform
+    weights finds its maximum; unconstrained mode drops w >= 0 and keeps
+    sum(w) = 1.  ``converged`` holds each solve's KKT certificate.
     """
-    if not (np.isfinite(delta_stop) and delta_stop > 0):
-        raise ValueError(f"delta_stop must be finite and > 0, got {delta_stop}")
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
-
     s = panel.n_chains
     transmats = transition_matrix_grid(panel)
-    weights = np.empty((s, s))
-    logliks = np.empty(s)
-    converged: list[bool] = []
-    flat_flags: list[bool] = []
-    equations = []
-
+    results, flat_flags, equations = [], [], []
     for j in range(s):
         q, counts = _pattern_prob_tensor(panel, transmats, j)
-        starts = [np.full(s, 1.0 / s)]
-        starts.extend(np.eye(s)[v] for v in range(s))
-        start_lls = [mixture_loglik(w, q, counts) for w in starts]
-        if not any(np.isfinite(ll) for ll in start_lls):
-            raise EstimationError(
-                f"equation {j}: log-likelihood is -inf at every candidate start"
-            )
-        flat = (
-            max(start_lls) - min(start_lls) < FLAT_LL_TOL
-            if all(np.isfinite(ll) for ll in start_lls)
-            else False
+        result = maximize_simplex(
+            lambda w: mixture_loglik(w, q, counts),
+            np.full(s, 1.0 / s),
+            lambda w: mixture_gradient(w, q, counts),
+            lambda w: mixture_hessian(w, q, counts),
+            n_obs=counts.sum(),
+            nonnegative=is_constrained,
         )
+        w = result.argmax
+        results.append(result)
+        flat_flags.append(_is_flat(q, w, counts))
 
-        best_w, best_ll = None, -np.inf
-        for w0, ll0 in zip(starts, start_lls):
-            if not np.isfinite(ll0):
-                continue
-            w, ll = _reallocate(q, counts, w0.copy(), ll0, delta, delta_stop, is_constrained)
-            if ll > best_ll:
-                best_w, best_ll = w, ll
-        assert best_w is not None
-
-        weights[j] = best_w
-        logliks[j] = best_ll
-        converged.append(True)
-        flat_flags.append(flat)
-
-        hess = mixture_hessian(best_w, q, counts)
-        std_errors = _hessian_std_errors(hess)
+        std_errors = _hessian_std_errors(mixture_hessian(w, q, counts))
         warnings = []
-        if flat:
+        if not result.converged:
+            warnings.append(f"weight optimization did not converge: {result.message}")
+        if flat_flags[-1]:
             warnings.append("log-likelihood is flat in the weights; any simplex point is optimal")
-        if not is_constrained and ((best_w < 0).any() or (best_w > 1).any()):
+        if not is_constrained and ((w < 0).any() or (w > 1).any()):
             warnings.append("unconstrained weights fall outside [0, 1]")
         if std_errors is None:
             warnings.append("Hessian is singular; standard errors unavailable")
             std_errors = np.full(s, np.nan)
-        equations.append(
-            equation_report(best_w, std_errors, best_ll, warnings=warnings)
-        )
+        equations.append(equation_report(w, std_errors, result.value, warnings=warnings))
 
     return MtdModel(
-        weights=weights,
+        weights=np.array([r.argmax for r in results]),
         transmats=transmats,
-        logliks=logliks,
+        logliks=np.array([r.value for r in results]),
         fit_report=FitReport(equations),
         constrained=is_constrained,
-        converged=converged,
+        converged=[r.converged for r in results],
         flat_likelihood=flat_flags,
     )
-
-
-def _reallocate(q, counts, w, ll, delta, delta_stop, constrained):
-    """Hill-climb the mixture log-likelihood by donor-to-recipient transfers."""
-    s = w.size
-    while delta >= delta_stop:
-        improved = True
-        while improved:
-            improved = False
-            grad = mixture_gradient(w, q, counts) if np.isfinite(ll) else np.zeros(s)
-            # candidate (donor, recipient) pairs ranked by first-order gain;
-            # ties resolved by lowest donor then recipient index
-            pairs = sorted(
-                (
-                    (-(grad[b] - grad[a]), a, b)
-                    for a in range(s)
-                    for b in range(s)
-                    if a != b and (not constrained or w[a] - delta >= -1e-12)
-                ),
-            )
-            for _, a, b in pairs:
-                cand = w.copy()
-                cand[a] -= delta
-                cand[b] += delta
-                if constrained and cand[a] < 0:
-                    cand[a] = 0.0
-                ll_cand = mixture_loglik(cand, q, counts)
-                if ll_cand > ll + 1e-12:
-                    w, ll = cand, ll_cand
-                    improved = True
-                    break
-        delta *= 0.5
-    return w, ll
 
 
 def estimate_lambda_minmax(panel: Panel) -> np.ndarray:

@@ -8,17 +8,19 @@ maximized; minimization happens internally.  Contents:
   - maximize_unconstrained: newton-raphson | bfgs | nelder-mead; Newton
     uses an analytic Hessian when given (else central differences) and
     shifts an indefinite one to positive definite (modified Newton)
+  - maximize_simplex: active-set Newton method on the probability
+    simplex, certified by a KKT residual scaled to the sample size
   - maximize_auglag: Augmented Lagrangian on the probability simplex
     (sum(w) = 1, w >= 0) with Newton inner steps on the exact Hessian
     of the augmented objective, built from the caller's analytic
     gradient and Hessian of f
 
-Tolerances: gradient/KKT 1e-6, sum constraint 1e-6, bounds 1e-8;
-iteration caps 500 (inner) / 50 (outer); penalty growth 10 from an
-initial penalty of 1, capped at 1e12.  Line searches backtrack with
-the Armijo condition (contraction 0.5, slope factor 1e-4); a
-non-finite objective during a line search shrinks the step instead of
-failing, so log(0) near a boundary is survivable.
+Augmented Lagrangian tolerances: gradient/KKT 1e-6, sum constraint
+1e-6, bounds 1e-8; iteration caps 500 (inner) / 50 (outer); penalty
+growth 10 from an initial penalty of 1, capped at 1e12.  Line searches
+backtrack with the Armijo condition (contraction 0.5, slope factor
+1e-4); a non-finite objective during a line search shrinks the step
+instead of failing, so log(0) near a boundary is survivable.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ INITIAL_PENALTY = 1.0
 ARMIJO_SLOPE = 1e-4
 NEWTON_SHIFT = 1e-8  # smallest Hessian eigenvalue kept, relative to its largest entry
 BACKTRACK = 0.5
+KKT_TOL = 1e-9  # maximize_simplex's KKT residual bound, per observation
+MAX_SIMPLEX_ITER = 100
 
 _METHODS = ("newton-raphson", "bfgs", "nelder-mead")
 
@@ -130,11 +134,12 @@ def maximize_unconstrained(
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {_METHODS}")
     x0 = np.asarray(start, dtype=float)
-    if not np.isfinite(f(x0)):
+    f0 = f(x0)
+    if not np.isfinite(f0):
         raise EstimationError("objective is not finite at the starting point")
     if method == "nelder-mead":
         return _neldermead_max(f, x0, max_iter)
-    return _gradient_method_max(f, x0, method, gradient, hessian, gtol, max_iter)
+    return _gradient_method_max(f, x0, f0, method, gradient, hessian, gtol, max_iter)
 
 
 def _neldermead_max(f, x0, max_iter) -> OptimResult:
@@ -158,15 +163,15 @@ def _neldermead_max(f, x0, max_iter) -> OptimResult:
     )
 
 
-def _gradient_method_max(f, x0, method, gradient, hessian, gtol, max_iter) -> OptimResult:
-    """Newton-Raphson / BFGS core, run as minimization of -f."""
+def _gradient_method_max(f, x0, f0, method, gradient, hessian, gtol, max_iter) -> OptimResult:
+    """Newton-Raphson / BFGS core, run as minimization of -f from f(x0) = f0."""
     grad_f = gradient if gradient is not None else (lambda x: numeric_gradient(f, x))
 
     def neg_f(x):
         return -f(x)
 
     x = x0.copy()
-    fval = neg_f(x)
+    fval = -f0
     g = -grad_f(x)  # gradient of -f
     p = x.size
     h_inv = np.eye(p)
@@ -237,6 +242,71 @@ def _armijo_descent(f, x, fx, g, direction, max_backtracks: int = 60):
             return step, candidate, True
         step *= BACKTRACK
     return 0.0, fx, False
+
+
+def maximize_simplex(
+    f: Callable[[np.ndarray], float],
+    start: Sequence[float],
+    gradient: Callable[[np.ndarray], np.ndarray],
+    hessian: Callable[[np.ndarray], np.ndarray],
+    n_obs: float,
+    nonnegative: bool = True,
+) -> OptimResult:
+    """Maximize a concave f over the simplex by active-set Newton steps.
+
+    Each step solves the Newton KKT system on the free (positive)
+    coordinates under sum(step) = 0, by least squares because identical
+    sources make it singular, stops at the first bound it reaches and
+    backtracks (Armijo).  Once the free coordinates are stationary, the
+    most-violated bound is released (Bertsekas 1982, SIAM J. Control
+    Optim. 20(2)).  ``nonnegative=False`` drops the bounds.  Converged
+    means the KKT residual and the squared Newton decrement are both at
+    most ``KKT_TOL * n_obs``; ``gradient`` is the gradient at ``argmax``.
+    """
+    x = np.asarray(start, dtype=float).copy()
+    fx = f(x)
+    if not np.isfinite(fx):
+        raise EstimationError("objective is not finite at the starting point")
+    tol = KKT_TOL * n_obs
+    message = "line search stalled"
+    for iterations in range(MAX_SIMPLEX_ITER + 1):
+        g = gradient(x)
+        free = x > 0 if nonnegative else np.ones(x.size, dtype=bool)
+        excess = g - g[free].mean()
+        free_residual = np.max(np.abs(excess[free]))
+        bound_excess = np.where(free, -np.inf, excess)
+        if free_residual <= tol < bound_excess.max():
+            free[bound_excess.argmax()] = True
+        idx = np.flatnonzero(free)
+        hess = hessian(x)[np.ix_(idx, idx)]
+        # the sum row on the Hessian's scale, so that least squares drops
+        # only directions flat relative to the Hessian itself
+        kkt = np.full((idx.size + 1, idx.size + 1), np.max(np.abs(hess)) or 1.0)
+        kkt[:-1, :-1] = hess
+        kkt[-1, -1] = 0.0
+        newton = np.zeros(x.size)
+        newton[idx] = np.linalg.lstsq(kkt, np.append(-g[idx], 0.0), rcond=None)[0][:-1]
+        # the decrement stays large where f grows without bound, while
+        # the gradient there decays below any tolerance
+        converged = bool(max(free_residual, bound_excess.max()) <= tol and g @ newton <= tol)
+        if converged or iterations == MAX_SIMPLEX_ITER:
+            message = "KKT residual below tolerance" if converged else "iteration cap reached"
+            break
+        # the longest step up to the Newton step that keeps w >= 0; the
+        # coordinates it stops at land on zero exactly
+        direction = newton
+        if nonnegative:
+            ratios = np.divide(x, -newton, out=np.full(x.size, np.inf), where=newton < 0)
+            limit = min(1.0, ratios.min())
+            direction = limit * newton
+            hit = ratios <= limit
+            direction[hit] = -x[hit]
+        step, neg_fx, ok = _armijo_descent(lambda z: -f(z), x, -fx, -g, direction)
+        if not ok or np.array_equal(x + step * direction, x):
+            break
+        x, fx = x + step * direction, -neg_fx
+    return OptimResult(argmax=x, value=float(fx), converged=converged,
+                       iterations=iterations, gradient=g, message=message)
 
 
 def maximize_auglag(

@@ -58,8 +58,7 @@ class TestEstimateCommand:
     def test_mtd_mirrors_reference_call(self, synthetic_files, capsys):
         panel, _ = synthetic_files
         rc = main([
-            "estimate", "--model", "mtd", "--y", str(panel),
-            "--delta", "0.1", "--delta-stop", "0.0001", "--constrained", "true",
+            "estimate", "--model", "mtd", "--y", str(panel), "--constrained", "true",
         ])
         assert rc == 0
         assert "$`Equation 1`" in capsys.readouterr().out
@@ -242,14 +241,24 @@ class TestExitCodes:
         assert rc == EXIT_DATA
         assert "exist" in err or "error" in err
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_delta_stop_is_a_usage_error(self, synthetic_files, capsys, value):
-        panel, _ = synthetic_files
-        rc = main(["estimate", "--model", "mtd", "--y", str(panel), "--delta-stop", value])
-        captured = capsys.readouterr()
-        assert rc == EXIT_USAGE
-        assert "delta_stop" in captured.err
-        assert captured.out == ""
+    def test_unbounded_unconstrained_mtd_exits_1(self, tmp_path):
+        # chain 1 repeats chain 2's previous state, so without w >= 0 the
+        # likelihood of equation 1 grows without bound; a subprocess with
+        # a timeout, because this fit once never returned
+        rng = np.random.default_rng(77)
+        source = simulate_homog_chain(np.array([[0.7, 0.3], [0.4, 0.6]]), 201, rng=rng)
+        panel = tmp_path / "copy.csv"
+        panel.write_text("".join(f"{a},{b}\n" for a, b in zip([1, *source[:-1]], source)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "markovmix.cli", "estimate", "--model", "mtd",
+             "--y", str(panel), "--constrained", "false"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "did not converge" in proc.stderr
+        assert "weight optimization did not converge" in proc.stdout
 
     @pytest.mark.parametrize("role", ["--y", "--x", "--input"])
     def test_non_utf8_csv_is_a_data_error(self, synthetic_files, tmp_path, capsys, role):

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from markovmix import optim
 from markovmix._mixture import mixture_gradient, mixture_hessian, mixture_loglik
-from markovmix.data import CovariateMatrix, Panel
+from markovmix.data import CovariateMatrix, Panel, encode_sequences, transition_matrix_grid
 from markovmix.exceptions import EstimationError
 from markovmix.gmmc import build_prob_tensor
+from markovmix.mtd import _pattern_prob_tensor
 from markovmix.optim import (
+    KKT_TOL,
     maximize_auglag,
+    maximize_simplex,
     maximize_unconstrained,
     numeric_gradient,
     numeric_hessian,
@@ -105,6 +108,22 @@ class TestMaximizeUnconstrained:
         res = maximize_unconstrained(f, [0.1, 0.1], method="newton-raphson", max_iter=50)
         assert res.converged
         assert np.max(np.abs(res.argmax - 1.0)) < 1e-6
+
+    @pytest.mark.parametrize("method", ["newton-raphson", "bfgs"])
+    def test_start_is_evaluated_once(self, method):
+        start = np.array([3.0, -2.0])
+        seen = []
+
+        def f(t):
+            seen.append(t.copy())
+            return -float(((t - 1.0) ** 2).sum())
+
+        res = maximize_unconstrained(
+            f, start, method=method, gradient=lambda t: -2.0 * (t - 1.0),
+            hessian=lambda t: -2.0 * np.eye(2),
+        )
+        assert res.converged
+        assert sum(np.array_equal(t, start) for t in seen) == 1
 
 
 class TestNumericDerivatives:
@@ -279,3 +298,110 @@ class TestAuglagAnalyticHessian:
             assert np.max(np.abs(lam - lam_oracle)) <= 1e-6
             ll, ll_oracle = mixture_loglik(lam, q), mixture_loglik(lam_oracle, q)
             assert ll >= ll_oracle - 1e-6 * abs(ll_oracle)
+
+
+def _mixture_problem(q, counts=None):
+    """Objective, gradient and Hessian of the mixture log-likelihood on q."""
+    return (
+        lambda w: mixture_loglik(w, q, counts),
+        lambda w: mixture_gradient(w, q, counts),
+        lambda w: mixture_hessian(w, q, counts),
+    )
+
+
+def _mtd_tensors(seed):
+    """(q, counts) of equations 0 and 2 of a seeded three-chain MTD panel.
+
+    Chain 1 repeats chain 0's previous state, so equation 1's likelihood
+    is unbounded without w >= 0; equations 0 and 2 have a maximum in
+    both modes.
+    """
+    rng = np.random.default_rng(seed)
+    src = simulate_homog_chain(
+        np.array([[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]]), 500, rng=rng
+    )
+    panel = encode_sequences([src.tolist(), np.roll(src, 1).tolist(),
+                              rng.integers(1, 3, 500).tolist()])
+    transmats = transition_matrix_grid(panel)
+    return [_pattern_prob_tensor(panel, transmats, j) for j in (0, 2)]
+
+
+def _kkt_residual(res, nonnegative):
+    """The KKT residual of maximize_simplex, recomputed from its result."""
+    g = res.gradient
+    free = res.argmax > 0 if nonnegative else np.ones(g.size, dtype=bool)
+    excess = g - g[free].mean()
+    return max(np.max(np.abs(excess[free])), np.max(excess[~free], initial=0.0))
+
+
+class TestMaximizeSimplex:
+    @pytest.mark.parametrize("nonnegative", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_agrees_with_slsqp_oracle(self, seed, nonnegative):
+        for q, counts in _mtd_tensors(seed):
+            f, grad, hess = _mixture_problem(q, counts)
+            start = np.full(3, 1.0 / 3.0)
+            res = maximize_simplex(f, start, grad, hess, n_obs=counts.sum(),
+                                   nonnegative=nonnegative)
+            oracle = scipy.optimize.minimize(
+                lambda w: -f(w) if np.isfinite(f(w)) else 1e300,
+                start,
+                jac=lambda w: -grad(w),
+                method="SLSQP",
+                bounds=[(0.0, 1.0)] * 3 if nonnegative else None,
+                constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0,
+                              "jac": lambda w: np.ones(3)}],
+                options={"ftol": 1e-14, "maxiter": 500},
+            )
+            assert res.converged and oracle.success
+            assert np.max(np.abs(res.argmax - oracle.x)) <= 1e-6
+            assert res.value == f(res.argmax)
+            assert res.value >= f(oracle.x) - 1e-10 * abs(res.value)
+            assert res.argmax.sum() == pytest.approx(1.0, abs=1e-12)
+            if nonnegative:
+                assert res.argmax.min() >= 0.0
+
+    @pytest.mark.parametrize("nonnegative", [True, False])
+    def test_certificate_holds_at_the_returned_gradient(self, nonnegative):
+        for q, counts in _mtd_tensors(3):
+            f, grad, hess = _mixture_problem(q, counts)
+            res = maximize_simplex(f, np.full(3, 1.0 / 3.0), grad, hess,
+                                   n_obs=counts.sum(), nonnegative=nonnegative)
+            assert res.converged
+            assert np.array_equal(res.gradient, grad(res.argmax))
+            assert _kkt_residual(res, nonnegative) <= KKT_TOL * counts.sum()
+
+    @pytest.mark.parametrize("nonnegative", [True, False])
+    def test_duplicated_source_column(self, nonnegative):
+        # identical columns 1 and 2 make the Hessian, and the KKT system,
+        # singular; only their summed weight is identified
+        q, counts = _mtd_tensors(4)[0]
+        f, grad, hess = _mixture_problem(q, counts)
+        single = maximize_simplex(f, np.full(3, 1.0 / 3.0), grad, hess,
+                                  n_obs=counts.sum(), nonnegative=nonnegative)
+        f, grad, hess = _mixture_problem(q[:, [0, 1, 1, 2]], counts)
+        dup = maximize_simplex(f, np.full(4, 0.25), grad, hess,
+                               n_obs=counts.sum(), nonnegative=nonnegative)
+        assert single.converged and dup.converged
+        merged = np.array([dup.argmax[0], dup.argmax[1] + dup.argmax[2], dup.argmax[3]])
+        assert np.max(np.abs(merged - single.argmax)) <= 1e-8
+        assert dup.value == pytest.approx(single.value, rel=1e-12)
+
+    def test_vertex_optimum_from_another_vertex(self):
+        # column 2 is the largest entry of every row, so e_2 is optimal;
+        # from e_0 both other bounds are violated and get released one at
+        # a time
+        rng = np.random.default_rng(13)
+        q = rng.uniform(0.2, 0.6, size=(300, 3))
+        q[:, 2] = q[:, :2].max(axis=1) + rng.uniform(0.01, 0.2, size=300)
+        f, grad, hess = _mixture_problem(q)
+        res = maximize_simplex(f, [1.0, 0.0, 0.0], grad, hess, n_obs=300)
+        assert res.converged
+        assert np.array_equal(res.argmax, [0.0, 0.0, 1.0])
+        assert _kkt_residual(res, True) <= KKT_TOL * 300
+
+    def test_non_finite_start_rejected(self):
+        q = np.array([[0.0, 0.5], [0.4, 0.6]])
+        f, grad, hess = _mixture_problem(q)
+        with pytest.raises(EstimationError, match="finite"):
+            maximize_simplex(f, [1.0, 0.0], grad, hess, n_obs=2)
