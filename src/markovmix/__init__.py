@@ -5,7 +5,8 @@ Three estimators over aligned categorical sequences:
   - ``estimate_mtd``: multimatrix mixture of empirical lag-one
     transition probabilities, simplex weights by exact Newton solves;
   - ``estimate_mtd_probit``: normal-CDF-link mixture over plug-in
-    transition probabilities, unconstrained parameters;
+    transition probabilities, unconstrained parameters by BFGS on the
+    closed-form score;
   - ``estimate_gmmc``: mixture of covariate-driven (non-homogeneous)
     conditionals fitted by multinomial logit, with constrained MLE,
     Wald inference, and covariate-conditional transition matrices.

@@ -34,6 +34,15 @@ EXIT_ESTIMATION = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
+# estimate options that only some models read: option -> those models
+_MODEL_OPTIONS = {
+    "--x": ("gmmc",),
+    "--x-lag": ("gmmc",),
+    "--save-fit": ("gmmc",),
+    "--initial": ("gmmc", "mtd-probit"),
+    "--constrained": ("mtd",),
+}
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -67,19 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--y-header", action="store_true", help="panel CSV has a header row")
     est.add_argument("--time-col", default=None, help="panel column holding the time index")
     est.add_argument("--x", default=None, help="covariate CSV (header required)")
-    est.add_argument("--x-lag", type=int, default=1, help="covariate lag (default 1)")
+    est.add_argument("--x-lag", type=int, default=None, help="covariate lag (default 1)")
     est.add_argument("--initial", default=None, help="comma-separated initial values")
     est.add_argument(
         "--constrained",
-        default="true",
+        default=None,
         choices=["true", "false"],
-        help="mtd: keep weights non-negative (true) or only sum-to-one (false)",
-    )
-    est.add_argument(
-        "--nummethod",
-        default="bfgs",
-        choices=["newton-raphson", "bfgs", "nelder-mead"],
-        help="mtd-probit optimizer",
+        help="mtd: keep weights non-negative (true, the default) or only sum-to-one (false)",
     )
     est.add_argument("--out-json", default=None, help="write the report as JSON here")
     est.add_argument("--save-fit", default=None, help="gmmc: serialize the fit here")
@@ -131,6 +134,11 @@ def _parse_floats(text: str, label: str) -> np.ndarray:
 
 
 def _cmd_estimate(args) -> int:
+    for option, models in _MODEL_OPTIONS.items():
+        if getattr(args, option[2:].replace("-", "_")) is not None and args.model not in models:
+            print(f"error: {option} applies only to --model {' or '.join(models)}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     panel = read_panel_csv(args.y, has_header=args.y_header, time_col=args.time_col)
     initial = _parse_floats(args.initial, "--initial") if args.initial else None
 
@@ -139,17 +147,18 @@ def _cmd_estimate(args) -> int:
             print("error: --model gmmc requires --x (covariate CSV)", file=sys.stderr)
             return EXIT_USAGE
         covariates = read_covariates_csv(args.x)
-        fit = estimate_gmmc(panel, covariates, initial=initial, x_lag=args.x_lag)
+        x_lag = 1 if args.x_lag is None else args.x_lag
+        fit = estimate_gmmc(panel, covariates, initial=initial, x_lag=x_lag)
         report = fit.fit_report
         converged = all(fit.converged)
         if args.save_fit:
             save_fit(fit, args.save_fit)
     elif args.model == "mtd":
-        model = estimate_mtd(panel, is_constrained=args.constrained == "true")
+        model = estimate_mtd(panel, is_constrained=args.constrained != "false")
         report = model.fit_report
         converged = all(model.converged)
     else:  # mtd-probit
-        model = estimate_mtd_probit(panel, initial=initial, nummethod=args.nummethod)
+        model = estimate_mtd_probit(panel, initial=initial)
         report = model.fit_report
         converged = all(model.converged)
 

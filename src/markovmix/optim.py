@@ -5,9 +5,9 @@ maximized; minimization happens internally.  Contents:
 
   - numeric_gradient / numeric_hessian: central differences
   - project_simplex: Euclidean projection onto the probability simplex
-  - maximize_unconstrained: newton-raphson | bfgs | nelder-mead; Newton
-    uses an analytic Hessian when given (else central differences) and
-    shifts an indefinite one to positive definite (modified Newton)
+  - maximize_unconstrained: Newton steps on the caller's Hessian, shifted
+    to positive definite where it is indefinite (modified Newton), or
+    BFGS steps when no Hessian is given; the gradient is always analytic
   - maximize_simplex: active-set Newton method on the probability
     simplex, certified by a KKT residual scaled to the sample size
   - maximize_auglag: Augmented Lagrangian on the probability simplex
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .exceptions import EstimationError
 
@@ -46,8 +45,6 @@ NEWTON_SHIFT = 1e-8  # smallest Hessian eigenvalue kept, relative to its largest
 BACKTRACK = 0.5
 KKT_TOL = 1e-9  # maximize_simplex's KKT residual bound, per observation
 MAX_SIMPLEX_ITER = 100
-
-_METHODS = ("newton-raphson", "bfgs", "nelder-mead")
 
 
 @dataclass
@@ -120,52 +117,25 @@ def project_simplex(v: Sequence[float]) -> np.ndarray:
 def maximize_unconstrained(
     f: Callable[[np.ndarray], float],
     start: Sequence[float],
-    method: str = "bfgs",
-    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    gradient: Callable[[np.ndarray], np.ndarray],
+    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     gtol: float = GRAD_TOL,
     max_iter: int = MAX_INNER_ITER,
-    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> OptimResult:
-    """Maximize f from a starting point with the chosen method.
+    """Maximize f from a starting point, given its gradient.
 
-    Without ``gradient`` the gradient methods difference f numerically;
-    without ``hessian`` so does Newton-Raphson.
+    With ``hessian`` the steps are modified Newton steps; without it,
+    BFGS steps.  Converged means max |gradient| <= ``gtol``.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {_METHODS}")
     x0 = np.asarray(start, dtype=float)
     f0 = f(x0)
     if not np.isfinite(f0):
         raise EstimationError("objective is not finite at the starting point")
-    if method == "nelder-mead":
-        return _neldermead_max(f, x0, max_iter)
-    return _gradient_method_max(f, x0, f0, method, gradient, hessian, gtol, max_iter)
+    return _gradient_method_max(f, x0, f0, gradient, hessian, gtol, max_iter)
 
 
-def _neldermead_max(f, x0, max_iter) -> OptimResult:
-    res = scipy.optimize.minimize(
-        lambda x: -f(x),
-        x0,
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-9,
-            "fatol": 1e-12,
-            "maxiter": max(max_iter, 200 * x0.size),
-            "maxfev": max(10 * max_iter, 400 * x0.size),
-        },
-    )
-    return OptimResult(
-        argmax=np.asarray(res.x, dtype=float),
-        value=-float(res.fun),
-        converged=bool(res.success),
-        iterations=int(res.nit),
-        message=str(res.message),
-    )
-
-
-def _gradient_method_max(f, x0, f0, method, gradient, hessian, gtol, max_iter) -> OptimResult:
+def _gradient_method_max(f, x0, f0, grad_f, hessian, gtol, max_iter) -> OptimResult:
     """Newton-Raphson / BFGS core, run as minimization of -f from f(x0) = f0."""
-    grad_f = gradient if gradient is not None else (lambda x: numeric_gradient(f, x))
 
     def neg_f(x):
         return -f(x)
@@ -186,10 +156,10 @@ def _gradient_method_max(f, x0, f0, method, gradient, hessian, gtol, max_iter) -
             break
         iterations += 1
 
-        if method == "bfgs":
+        if hessian is None:
             direction = -h_inv @ g
         else:  # modified Newton: shift an indefinite Hessian to positive definite
-            hess = -hessian(x) if hessian is not None else numeric_hessian(neg_f, x)
+            hess = -hessian(x)
             floor = NEWTON_SHIFT * max(1.0, float(np.max(np.abs(hess))))
             shift = max(0.0, floor - float(np.linalg.eigvalsh(hess)[0]))
             direction = np.linalg.solve(hess + shift * np.eye(p), -g)
@@ -206,7 +176,7 @@ def _gradient_method_max(f, x0, f0, method, gradient, hessian, gtol, max_iter) -
 
         g_new = -grad_f(x_new)
 
-        if method == "bfgs":
+        if hessian is None:
             s = x_new - x
             y = g_new - g
             sy = s @ y
@@ -372,7 +342,6 @@ def maximize_auglag(
         inner = maximize_unconstrained(
             augmented,
             x,
-            method="newton-raphson",
             gradient=augmented_gradient,
             gtol=GRAD_TOL * 10.0 ** max(0, 3 - outer),
             max_iter=MAX_INNER_ITER,

@@ -7,9 +7,8 @@ chain's lagged state is
 
 with Phi the standard normal CDF and P_jk the empirical plug-in
 transition matrices.  The e parameters are unconstrained reals, so the
-likelihood is maximized with the unconstrained optimizer menu, given its
-closed-form score; the normal CDF keeps every probability strictly
-positive.
+likelihood is maximized by BFGS on its closed-form score; the normal CDF
+keeps every probability strictly positive.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from scipy.special import log_ndtr, logsumexp
 
 from ._mixture import _hessian_std_errors
 from .data import Panel, TransitionMatrix, transition_matrix_grid, transition_patterns
-from .inference import FitReport, equation_report, norm_cdf
+from .inference import FitReport, equation_report
 from .optim import maximize_unconstrained, numeric_hessian
 
 
@@ -34,7 +33,6 @@ class ProbitModel:
     logliks: np.ndarray
     fit_report: FitReport
     converged: list[bool] = field(default_factory=list)
-    include_intercept: bool = True
 
     @property
     def n_chains(self) -> int:
@@ -48,14 +46,10 @@ def probit_distribution(
     lagged_states: Sequence[int],
 ) -> np.ndarray:
     """Full next-state distribution for one conditioning pattern."""
-    etas = np.asarray(etas, dtype=float)
-    s = len(lagged_states)
-    m = transmats[equation][0].probs.shape[1]
-    args = np.full(m, etas[0])
-    for k in range(s):
-        args += etas[k + 1] * transmats[equation][k].probs[lagged_states[k] - 1, :]
-    weights = norm_cdf(args)
-    return weights / weights.sum()
+    plugin = np.stack(
+        [row.probs[lag - 1, :] for row, lag in zip(transmats[equation], lagged_states)]
+    )
+    return np.exp(_log_probs(np.asarray(etas, dtype=float), plugin[None])[1][0])
 
 
 def probit_prob(
@@ -82,21 +76,19 @@ def probit_loglik(panel: Panel, model: ProbitModel) -> np.ndarray:
 def estimate_mtd_probit(
     panel: Panel,
     initial: Optional[Sequence[float]] = None,
-    nummethod: str = "bfgs",
-    include_intercept: bool = True,
     transmats: Optional[list[list[TransitionMatrix]]] = None,
 ) -> ProbitModel:
     """Maximize the probit-mixture likelihood per equation.
 
     ``initial`` defaults to all ones, one value per parameter
-    (intercept plus one slope per chain).  ``nummethod`` picks the
-    unconstrained optimizer.  With ``include_intercept`` false the
-    intercept is fixed at zero and only the slopes are estimated.
-    Plug-in transition matrices are estimated from the panel unless an
-    explicit grid is supplied (e.g. known matrices in simulations).
+    (intercept plus one slope per chain).  Each equation is one BFGS
+    solve on the closed-form score; standard errors come from a
+    central-difference Hessian at the maximum.  Plug-in transition
+    matrices are estimated from the panel unless an explicit grid is
+    supplied (e.g. known matrices in simulations).
     """
     s = panel.n_chains
-    n_params = s + 1 if include_intercept else s
+    n_params = s + 1
     init = np.ones(n_params) if initial is None else np.asarray(initial, dtype=float)
     if init.shape != (n_params,):
         raise ValueError(f"initial values must have length {n_params}, got {init.shape}")
@@ -105,7 +97,7 @@ def estimate_mtd_probit(
 
     if transmats is None:
         transmats = transition_matrix_grid(panel)
-    etas = np.zeros((s, s + 1))
+    etas = np.zeros((s, n_params))
     logliks = np.empty(s)
     converged: list[bool] = []
     equations = []
@@ -113,14 +105,13 @@ def estimate_mtd_probit(
         patterns = _stack_plugin_probs(panel, transmats, j)
 
         def objective(theta: np.ndarray) -> float:
-            return _equation_loglik(_expand(theta, include_intercept), *patterns)
+            return _equation_loglik(theta, *patterns)
 
         def score(theta: np.ndarray) -> np.ndarray:
-            grad = _equation_score(_expand(theta, include_intercept), *patterns)
-            return grad if include_intercept else grad[1:]
+            return _equation_score(theta, *patterns)
 
-        result = maximize_unconstrained(objective, init, method=nummethod, gradient=score)
-        etas[j] = _expand(result.argmax, include_intercept)
+        result = maximize_unconstrained(objective, init, gradient=score)
+        etas[j] = result.argmax
         logliks[j] = result.value
         converged.append(result.converged)
 
@@ -135,7 +126,7 @@ def estimate_mtd_probit(
         if std_errors is None:
             warnings.append("Hessian is singular; standard errors unavailable")
             std_errors = np.full(n_params, np.nan)
-        names = [f"eta{i}" for i in range(0 if include_intercept else 1, s + 1)]
+        names = [f"eta{i}" for i in range(n_params)]
         equations.append(
             equation_report(
                 result.argmax, std_errors, result.value, row_names=names, warnings=warnings
@@ -148,12 +139,7 @@ def estimate_mtd_probit(
         logliks=logliks,
         fit_report=FitReport(equations),
         converged=converged,
-        include_intercept=include_intercept,
     )
-
-
-def _expand(theta: np.ndarray, include_intercept: bool) -> np.ndarray:
-    return theta if include_intercept else np.concatenate(([0.0], theta))
 
 
 def _stack_plugin_probs(

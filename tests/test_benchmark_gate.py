@@ -1,10 +1,12 @@
-"""The plugin-fit benchmark's output check passes on the current code.
+"""Every benchmark workload's output check passes on the current code.
 
 The benchmark rejects a run whose estimates drift more than
-``ESTIMATE_TOL`` from ``perfbench/references.json`` or whose
-log-likelihoods fall below it.  These tests load the benchmark's input
-generator and workload checks read-only and run its seed-0 plugin-fit
-CLI calls, so a solver change that breaks the gate fails here first.
+``ESTIMATE_TOL`` from ``perfbench/references.json``, whose
+log-likelihoods fall below it, or whose Monte Carlo rejection rates
+move by more than one replication.  These tests load the benchmark's
+input generator and workload checks read-only and run its seed-0 CLI
+calls and its Part I study, so a solver change that breaks the gate
+fails here first.
 """
 
 import importlib.util
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from markovmix.cli import main
+from markovmix.simulation import SimConfig, run_part1
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,13 +44,33 @@ def workloads():
                 sys.modules[name] = module
 
 
-def test_plugin_fit_matches_references(workloads, tmp_path, capsys):
-    references = json.loads((PERFBENCH / "references.json").read_text())["plugin-fit"]
-    calls = workloads.cli_calls("plugin-fit", workloads.INPUT_SEED, str(tmp_path))
-    assert [model for model, _, _ in calls] == ["mtd", "mtd-probit"]
+def _references(name):
+    return json.loads((PERFBENCH / "references.json").read_text())[name]
+
+
+def _check_cli_calls(workloads, name, work_dir, capsys):
+    """Run the workload's CLI calls; returns the models they fitted."""
+    references = _references(name)
+    calls = workloads.cli_calls(name, workloads.INPUT_SEED, str(work_dir))
     for model, argv, out in calls:
         assert main(argv) == 0
         capsys.readouterr()
         with open(out, encoding="utf-8") as fh:
             summary = workloads.fit_summary(json.load(fh))
         assert workloads.check_fit(summary, references[model]) == []
+    return [model for model, _, _ in calls]
+
+
+def test_plugin_fit_matches_references(workloads, tmp_path, capsys):
+    assert _check_cli_calls(workloads, "plugin-fit", tmp_path, capsys) == ["mtd", "mtd-probit"]
+
+
+def test_gmmc_fit_matches_references(workloads, tmp_path, capsys):
+    assert _check_cli_calls(workloads, "gmmc-fit", tmp_path, capsys) == ["gmmc"]
+
+
+def test_mc_part1_matches_references(workloads):
+    config = SimConfig(n_obs=workloads.MC_N_OBS, n_reps=workloads.MC_REPS, states=2,
+                       seed=workloads.MC_STUDY_SEED)
+    summary = workloads.study_summary(run_part1(config, n_jobs=1))
+    assert workloads.check_study(summary, _references("mc-part1"), workloads.MC_REPS) == []

@@ -67,11 +67,38 @@ class TestEstimateCommand:
         panel, _ = synthetic_files
         rc = main([
             "estimate", "--model", "mtd-probit", "--y", str(panel),
-            "--initial", "1,1,1", "--nummethod", "bfgs",
+            "--initial", "1,1,1",
         ])
         out = capsys.readouterr().out
         assert "$`Equation 1`" in out
         assert rc in (0, 1)  # ridge-flat likelihoods legitimately report rc 1
+
+    @pytest.mark.parametrize(
+        "model, option, value, models",
+        [
+            ("mtd", "--x", "{cov}", "gmmc"),
+            ("mtd-probit", "--x-lag", "2", "gmmc"),
+            ("mtd", "--save-fit", "{fit}", "gmmc"),
+            ("mtd", "--initial", "5,-4", "gmmc or mtd-probit"),
+            ("gmmc", "--constrained", "false", "mtd"),
+        ],
+        ids=["x", "x-lag", "save-fit", "initial", "constrained"],
+    )
+    def test_option_of_another_model_is_a_usage_error(
+        self, synthetic_files, tmp_path, capsys, model, option, value, models
+    ):
+        panel, cov = synthetic_files
+        fit_path = tmp_path / "fit.json"
+        argv = ["estimate", "--model", model, "--y", str(panel),
+                option, value.format(cov=cov, fit=fit_path)]
+        if model == "gmmc":
+            argv += ["--x", str(cov)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == EXIT_USAGE
+        assert f"{option} applies only to --model {models}" in captured.err
+        assert captured.out == ""
+        assert not fit_path.exists()
 
 class TestTransmatCommand:
     def test_edge_list_rows_sum_to_one(self, synthetic_files, tmp_path, capsys):

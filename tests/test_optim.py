@@ -23,20 +23,38 @@ from markovmix.optim import (
 )
 from markovmix.simulation import simulate_homog_chain, simulate_nonhomog_chain
 
-METHODS = ["newton-raphson", "bfgs", "nelder-mead"]
+# the two paths of maximize_unconstrained: Newton steps when a Hessian
+# is passed, BFGS steps when not
+PATHS = ["newton-raphson", "bfgs"]
+
+
+def _maximize(path, f, start, gradient, hessian, **kwargs):
+    return maximize_unconstrained(
+        f, start, gradient, hessian=hessian if path == "newton-raphson" else None, **kwargs
+    )
 
 
 class TestMaximizeUnconstrained:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_1d_quadratic(self, method):
-        res = maximize_unconstrained(lambda t: -((t[0] - 3.0) ** 2), [0.0], method=method)
+    @pytest.mark.parametrize("path", PATHS)
+    def test_1d_quadratic(self, path):
+        res = _maximize(
+            path,
+            lambda t: -((t[0] - 3.0) ** 2),
+            [0.0],
+            lambda t: np.array([-2.0 * (t[0] - 3.0)]),
+            lambda t: np.array([[-2.0]]),
+        )
         assert res.converged
         assert abs(res.argmax[0] - 3.0) < 1e-6
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_2d_quadratic(self, method):
-        res = maximize_unconstrained(
-            lambda t: -t[0] ** 2 - 10.0 * t[1] ** 2, [1.0, 1.0], method=method
+    @pytest.mark.parametrize("path", PATHS)
+    def test_2d_quadratic(self, path):
+        res = _maximize(
+            path,
+            lambda t: -t[0] ** 2 - 10.0 * t[1] ** 2,
+            [1.0, 1.0],
+            lambda t: np.array([-2.0 * t[0], -20.0 * t[1]]),
+            lambda t: np.diag([-2.0, -20.0]),
         )
         assert res.converged
         assert np.max(np.abs(res.argmax)) < 1e-6
@@ -45,12 +63,18 @@ class TestMaximizeUnconstrained:
         def neg_rosen(t):
             return -(100.0 * (t[1] - t[0] ** 2) ** 2 + (1.0 - t[0]) ** 2)
 
-        res = maximize_unconstrained(neg_rosen, [-1.2, 1.0], method="bfgs")
+        def grad(t):
+            return np.array([
+                400.0 * t[0] * (t[1] - t[0] ** 2) + 2.0 * (1.0 - t[0]),
+                -200.0 * (t[1] - t[0] ** 2),
+            ])
+
+        res = maximize_unconstrained(neg_rosen, [-1.2, 1.0], grad)
         assert res.converged
         assert np.max(np.abs(res.argmax - 1.0)) < 1e-4
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_methods_agree_on_concave_quadratic(self, method):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_methods_agree_on_concave_quadratic(self, path):
         # closed-form maximizer of -(x-a)'A(x-a) is a
         target = np.array([0.4, -1.3])
         mat = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -59,21 +83,26 @@ class TestMaximizeUnconstrained:
             d = t - target
             return -d @ mat @ d
 
-        res = maximize_unconstrained(f, [2.0, 2.0], method=method)
+        res = _maximize(
+            path, f, [2.0, 2.0], lambda t: -2.0 * mat @ (t - target), lambda t: -2.0 * mat
+        )
         assert np.max(np.abs(res.argmax - target)) < 1e-6
 
     def test_non_finite_start_rejected(self):
         with np.errstate(invalid="ignore"), pytest.raises(EstimationError, match="finite"):
-            maximize_unconstrained(lambda t: float(np.log(t[0])), [-1.0])
+            maximize_unconstrained(lambda t: float(np.log(t[0])), [-1.0], lambda t: 1.0 / t)
 
     def test_iteration_cap_reports_non_convergence(self):
         res = maximize_unconstrained(
-            lambda t: -abs(t[0]) ** 1.1, [5.0], method="bfgs", max_iter=2
+            lambda t: -abs(t[0]) ** 1.1,
+            [5.0],
+            lambda t: -1.1 * np.sign(t) * np.abs(t) ** 0.1,
+            max_iter=2,
         )
         assert not res.converged
 
-    @pytest.mark.parametrize("method", ["bfgs", "newton-raphson"])
-    def test_step_that_leaves_x_unchanged_ends_the_run(self, method):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_step_that_leaves_x_unchanged_ends_the_run(self, path):
         # the maximizer 1 + 3e-17 lies between two doubles, nearer to 1.0:
         # from x = 1.0 every accepted step rounds back to x while the
         # gradient, 6e-5, stays above gtol
@@ -87,10 +116,7 @@ class TestMaximizeUnconstrained:
             return np.array([[-2e12]])
 
         short, long = (
-            maximize_unconstrained(
-                f, [0.0], method=method, gradient=grad, hessian=hess, max_iter=cap
-            )
-            for cap in (50, 500)
+            _maximize(path, f, [0.0], grad, hess, max_iter=cap) for cap in (50, 500)
         )
         assert short.message == "line search stalled"
         assert not short.converged
@@ -105,12 +131,21 @@ class TestMaximizeUnconstrained:
         def f(t):
             return float(-((t[0] ** 2 - 1.0) ** 2) - 1e4 * (t[1] - t[0]) ** 2)
 
-        res = maximize_unconstrained(f, [0.1, 0.1], method="newton-raphson", max_iter=50)
+        def grad(t):
+            return np.array([
+                -4.0 * t[0] * (t[0] ** 2 - 1.0) + 2e4 * (t[1] - t[0]),
+                -2e4 * (t[1] - t[0]),
+            ])
+
+        def hess(t):
+            return np.array([[-4.0 * (3.0 * t[0] ** 2 - 1.0) - 2e4, 2e4], [2e4, -2e4]])
+
+        res = maximize_unconstrained(f, [0.1, 0.1], grad, hessian=hess, max_iter=50)
         assert res.converged
         assert np.max(np.abs(res.argmax - 1.0)) < 1e-6
 
-    @pytest.mark.parametrize("method", ["newton-raphson", "bfgs"])
-    def test_start_is_evaluated_once(self, method):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_start_is_evaluated_once(self, path):
         start = np.array([3.0, -2.0])
         seen = []
 
@@ -118,9 +153,8 @@ class TestMaximizeUnconstrained:
             seen.append(t.copy())
             return -float(((t - 1.0) ** 2).sum())
 
-        res = maximize_unconstrained(
-            f, start, method=method, gradient=lambda t: -2.0 * (t - 1.0),
-            hessian=lambda t: -2.0 * np.eye(2),
+        res = _maximize(
+            path, f, start, lambda t: -2.0 * (t - 1.0), lambda t: -2.0 * np.eye(2)
         )
         assert res.converged
         assert sum(np.array_equal(t, start) for t in seen) == 1
@@ -252,7 +286,7 @@ class TestAuglagAnalyticHessian:
                 analytic = kwargs["hessian"](w)
                 scale = np.max(np.abs(oracle))
                 assert np.max(np.abs(analytic - oracle)) <= 1e-5 * scale
-            checked.append(kwargs["method"])
+            checked.append(kwargs["hessian"] is not None)
             return inner_solve(f, start, **kwargs)
 
         monkeypatch.setattr(optim, "maximize_unconstrained", spy)
@@ -263,7 +297,7 @@ class TestAuglagAnalyticHessian:
             lambda w: mixture_hessian(w, q),
         )
         assert res.converged
-        assert checked and set(checked) == {"newton-raphson"}
+        assert checked and all(checked)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_agrees_with_slsqp_oracle(self, seed):
