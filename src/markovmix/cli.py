@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 estimation non-convergence, 2 usage error,
 3 data error.  The MARKOVMIX_SEED environment variable supplies the
-default simulation seed.
+default simulation seed.  Every input CSV is read by ``data``'s one
+reader, so ``--time-col`` and ``--column`` both take a 0-based index
+or a header name.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import sys
 import numpy as np
 
 from .data import (
-    _read_csv_rows,
+    _column_index,
+    _numeric,
+    _read_table,
     discretize_quantiles,
     log_returns,
     read_covariates_csv,
@@ -74,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--model", required=True, choices=["mtd", "mtd-probit", "gmmc"])
     est.add_argument("--y", required=True, help="panel CSV (one column per sequence)")
     est.add_argument("--y-header", action="store_true", help="panel CSV has a header row")
-    est.add_argument("--time-col", default=None, help="panel column holding the time index")
+    est.add_argument("--time-col", default=None,
+                     help="panel column holding the time index (0-based index or name)")
     est.add_argument("--x", default=None, help="covariate CSV (header required)")
     est.add_argument("--x-lag", type=int, default=None, help="covariate lag (default 1)")
     est.add_argument("--initial", default=None, help="comma-separated initial values")
@@ -240,7 +245,9 @@ def _cmd_transmat(args) -> int:
 
 
 def _cmd_discretize(args) -> int:
-    series = _read_numeric_column(args.input, args.column, not args.no_header)
+    header, columns = _read_table(args.input, not args.no_header)
+    column = _column_index(args.column, header, len(columns), args.input)
+    series = _numeric(args.input, columns, [column])[:, 0]
     if args.returns:
         series = log_returns(series)
     values = np.unique(series)
@@ -257,31 +264,6 @@ def _cmd_discretize(args) -> int:
     else:
         print("\n".join(lines))
     return EXIT_OK
-
-
-def _read_numeric_column(path, column, has_header: bool) -> np.ndarray:
-    data_rows, header = _read_csv_rows(path, has_header)
-    if column.isdigit() or (column.startswith("-") and column[1:].isdigit()):
-        idx = int(column)
-        ncol = len(header or data_rows[0])
-        if not -ncol <= idx < ncol:
-            raise DataError(f"{path}: column {column} out of range for {ncol} column(s)")
-    elif header is not None and column in header:
-        idx = header.index(column)
-    else:
-        raise DataError(f"{path}: no column {column!r}" +
-                        (f"; header is {header}" if header else " (file has no header)"))
-    values = []
-    for r, row in enumerate(data_rows):
-        if not -len(row) <= idx < len(row) or row[idx].strip() == "":
-            raise DataError(f"{path}: missing cell at row {r + 1}")
-        try:
-            values.append(float(row[idx]))
-        except ValueError:
-            raise DataError(
-                f"{path}: non-numeric value {row[idx]!r} at row {r + 1}"
-            ) from None
-    return np.array(values)
 
 
 if __name__ == "__main__":

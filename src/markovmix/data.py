@@ -5,6 +5,12 @@ Panels hold ``s`` aligned integer-coded sequences; states are coded
 convention); state labels stay 1-based because they are data, not
 indices.
 
+Panel and covariate CSVs (and the ``discretize`` command's series) go
+through one reader: cells are stripped, blank rows skipped, and a ragged
+row, an empty cell, a non-UTF-8 file or a malformed CSV is a DataError.
+A column is addressed by a 0-based index (an int or a digit string,
+negative from the end) or by a header name.
+
 Also provides the series transforms used by the stock-returns pipeline:
 log returns, quantile discretization into three states, and a trailing
 moving average.
@@ -180,13 +186,11 @@ def encode_sequences(
     encoded = np.empty((n, len(raw)), dtype=int)
     labels: list[list] = []
     for j, col in enumerate(raw):
-        mapping: dict = {}
-        for t, value in enumerate(col):
-            code = mapping.setdefault(value, len(mapping) + 1)
-            encoded[t, j] = code
-        if len(mapping) < 2:
+        codes = {label: code for code, label in enumerate(dict.fromkeys(col), start=1)}
+        if len(codes) < 2:
             raise DataError(f"column {j} is constant; no transition structure to model")
-        labels.append(list(mapping.keys()))
+        encoded[:, j] = [*map(codes.__getitem__, col)]
+        labels.append(list(codes))
 
     sizes = tuple(len(lab) for lab in labels)
     return Panel(states=encoded, alphabet_sizes=sizes, labels=labels, time_index=time_index)
@@ -331,78 +335,85 @@ def read_panel_csv(
 
     Cells may hold arbitrary category labels (integers or strings);
     they are integer-coded in first-appearance order.  Missing cells
-    are an error.  ``time_col`` names (or indexes) a column to use as
-    the time axis instead of a sequence.
+    and ragged rows are an error.  ``time_col`` indexes (an int or a
+    digit string, 0-based, negative from the end) or names a column to
+    use as the time axis instead of a sequence.
     """
-    rows, header = _read_csv_rows(path, has_header)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    ncol = len(rows[0])
-    time_idx = _resolve_column(time_col, header, ncol, path) if time_col is not None else None
-
-    columns: list[list] = [[] for _ in range(ncol)]
-    for r, row in enumerate(rows):
-        if len(row) != ncol:
-            raise DataError(f"{path}: row {r + 1} has {len(row)} cells, expected {ncol}")
-        for c, cell in enumerate(row):
-            cell = cell.strip()
-            if cell == "":
-                raise DataError(f"{path}: missing cell at row {r + 1}, column {c + 1}")
-            columns[c].append(cell)
-
+    header, columns = _read_table(path, has_header)
     time_index = None
-    if time_idx is not None:
-        time_index = columns.pop(time_idx)
-        if header:
-            header = header[:time_idx] + header[time_idx + 1 :]
+    if time_col is not None:
+        time_index = list(columns.pop(_column_index(time_col, header, len(columns), path)))
     return encode_sequences(columns, time_index=time_index)
 
 
 def read_covariates_csv(path) -> CovariateMatrix:
     """Read a covariate CSV (header row required, numeric cells)."""
-    rows, header = _read_csv_rows(path, has_header=True)
-    if header is None or not rows:
-        raise DataError(f"{path}: covariate files need a header row and data rows")
-    values = np.empty((len(rows), len(header)), dtype=float)
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {r + 1} has {len(row)} cells, expected {len(header)}")
-        for c, cell in enumerate(row):
-            cell = cell.strip()
-            if cell == "":
-                raise DataError(f"{path}: missing cell at row {r + 1}, column {c + 1}")
-            try:
-                values[r, c] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric covariate {cell!r} at row {r + 1}, column {c + 1}"
-                ) from None
-    return CovariateMatrix(values=values, column_names=list(header))
+    header, columns = _read_table(path, has_header=True)
+    return CovariateMatrix(_numeric(path, columns, range(len(columns))), column_names=header)
 
 
-def _read_csv_rows(path, has_header: bool):
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            all_rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-        except UnicodeDecodeError as err:
-            raise DataError(f"{path}: not UTF-8 text ({err})") from None
-    if not all_rows:
-        raise DataError(f"{path}: empty file")
-    if has_header:
-        return all_rows[1:], all_rows[0]
-    return all_rows, None
+def _read_table(path, has_header: bool) -> tuple[Optional[list[str]], list[tuple[str, ...]]]:
+    """One pass over a CSV: its header (or None) and its data as column tuples.
+
+    Cells are stripped and blank rows skipped.  Every row, the header
+    included, must be as wide as the first, and no cell may be empty.
+    Data rows are numbered from 1, skipping blank rows.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = [row for row in ([*map(str.strip, raw)] for raw in csv.reader(fh)) if any(row)]
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text ({err})") from None
+    except csv.Error as err:
+        raise DataError(f"{path}: malformed CSV ({err})") from None
+    if len(table) <= has_header:
+        raise DataError(f"{path}: no data rows")
+
+    def row_name(r: int) -> str:
+        r += not has_header
+        return f"row {r}" if r else "the header row"
+
+    ncol = len(table[0])
+    if len(set(map(len, table))) > 1:
+        r = next(r for r, row in enumerate(table) if len(row) != ncol)
+        raise DataError(f"{path}: {row_name(r)} has {len(table[r])} cells, expected {ncol}")
+    columns = list(zip(*table))
+    for c, column in enumerate(columns):
+        if "" in column:
+            raise DataError(f"{path}: missing cell at {row_name(column.index(''))}, column {c + 1}")
+    if not has_header:
+        return None, columns
+    return [column[0] for column in columns], [column[1:] for column in columns]
 
 
-def _resolve_column(col, header, ncol: int, path) -> int:
-    if isinstance(col, int):
-        if not 0 <= col < ncol:
-            raise DataError(f"{path}: column index {col} out of range 0..{ncol - 1}")
-        return col
+def _column_index(spec: str | int, header: Optional[list[str]], ncol: int, path) -> int:
+    """0-based column of ``spec``: an int or digit string indexes, anything else names."""
+    if str(spec).removeprefix("-").isdecimal():
+        if not -ncol <= int(spec) < ncol:
+            raise DataError(f"{path}: column {spec} out of range for {ncol} column(s)")
+        return int(spec) % ncol
     if header is None:
-        raise DataError(f"{path}: cannot address column {col!r} by name without a header")
-    if col not in header:
-        raise DataError(f"{path}: no column named {col!r}; header is {header}")
-    return header.index(col)
+        raise DataError(f"{path}: no column named {spec!r}; the file has no header")
+    if spec not in header:
+        raise DataError(f"{path}: no column named {spec!r}; header is {header}")
+    return header.index(spec)
+
+
+def _numeric(path, columns: list[tuple[str, ...]], which) -> np.ndarray:
+    """Columns ``which`` of a table as an (n, len(which)) float array."""
+    try:
+        return np.array([columns[c] for c in which], dtype=float).T.copy()
+    except ValueError:
+        # name the first bad cell
+        for c in which:
+            for r, cell in enumerate(columns[c]):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: non-numeric value {cell!r} at row {r + 1}, column {c + 1}"
+                    ) from None
+        raise
 
 
 def _check_chain(panel: Panel, chain: int) -> None:

@@ -120,8 +120,9 @@ def estimate_mtd_probit(
         warnings = []
         if not result.converged:
             warnings.append(
-                f"optimizer did not converge: {result.message} "
-                f"({result.iterations} iterations); the likelihood may be flat"
+                f"optimizer did not converge: {result.message} after "
+                f"{result.iterations} iterations; final max |score| "
+                f"{np.max(np.abs(result.gradient)):.3g}"
             )
         if std_errors is None:
             warnings.append("Hessian is singular; standard errors unavailable")

@@ -1,12 +1,16 @@
 """Command-line surface: commands, exit codes, file outputs."""
 
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovmix.cli import main
 from markovmix.simulation import simulate_homog_chain, simulate_nonhomog_chain
@@ -72,6 +76,19 @@ class TestEstimateCommand:
         out = capsys.readouterr().out
         assert "$`Equation 1`" in out
         assert rc in (0, 1)  # ridge-flat likelihoods legitimately report rc 1
+
+    @pytest.mark.parametrize("time_col", ["0", "-3"])
+    def test_time_col_by_index(self, synthetic_files, tmp_path, time_col):
+        panel, _ = synthetic_files
+        rows = panel.read_text().splitlines()
+        dated = tmp_path / "dated.csv"
+        dated.write_text("".join(f"t{t},{row}\n" for t, row in enumerate(rows)))
+        reports = []
+        for argv in (["--y", str(panel)], ["--y", str(dated), "--time-col", time_col]):
+            out = tmp_path / "report.json"
+            assert main(["estimate", "--model", "mtd", *argv, "--out-json", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
         "model, option, value, models",
@@ -303,6 +320,22 @@ class TestExitCodes:
         assert f"{bad}: not UTF-8 text" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("role", ["--y", "--x", "--input"])
+    def test_field_over_csv_limit_is_a_data_error(self, synthetic_files, tmp_path, capsys, role):
+        panel, cov = synthetic_files
+        bad = tmp_path / "wide.csv"
+        bad.write_text("x\n1.5\n" + "9" * (csv.field_size_limit() + 1) + "\n")
+        argv = {
+            "--y": ["estimate", "--model", "mtd", "--y", str(bad)],
+            "--x": ["estimate", "--model", "gmmc", "--y", str(panel), "--x", str(bad)],
+            "--input": ["discretize", "--input", str(bad), "--column", "x"],
+        }[role]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == EXIT_DATA
+        assert f"{bad}: malformed CSV" in captured.err
+        assert captured.out == ""
+
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--model", "bogus", "--y", "x.csv"])
@@ -318,3 +351,52 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "$`Equation 1`" in proc.stdout
+
+
+@st.composite
+def _damaged_csv(draw, cells):
+    """A table of ``cells`` with up to two ragged, empty or text cells or blank lines."""
+    ncol = draw(st.integers(1, 3))
+    rows = [[draw(cells) for _ in range(ncol)] for _ in range(draw(st.integers(0, 12)))]
+    for _ in range(draw(st.integers(0, 2))):
+        if not rows:
+            break
+        r = draw(st.integers(0, len(rows) - 1))
+        damage = draw(st.sampled_from(["ragged", "empty", "text", "blank"]))
+        if damage == "ragged":
+            rows[r] = rows[r][:-1] if draw(st.booleans()) else [*rows[r], draw(cells)]
+        elif damage == "blank":
+            rows.insert(r, [draw(st.sampled_from(["", "  "]))])
+        elif rows[r]:
+            c = draw(st.integers(0, len(rows[r]) - 1))
+            rows[r][c] = draw(st.sampled_from(["", " "] if damage == "empty" else ["x", '"4,5"']))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+class TestInputFuzz:
+    """Ragged rows, empty and non-numeric cells and blank lines never escape main."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "input.csv"
+
+    def _run(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=_damaged_csv(st.sampled_from(["1", "2", "3", " 2 ", "a"])))
+    def test_estimate_mtd(self, fuzz_path, text):
+        fuzz_path.write_text(text, encoding="utf-8")
+        assert self._run(["estimate", "--model", "mtd", "--y", str(fuzz_path)]) in {0, 1, 2, 3}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        text=_damaged_csv(st.sampled_from(["1", "2.5", "-3", " 4e1 ", "0.25", "7", "-8.5", "6"])),
+        header=st.booleans(),
+        column=st.sampled_from(["0", "1", "-1", "a"]),
+    )
+    def test_discretize(self, fuzz_path, text, header, column):
+        fuzz_path.write_text(text, encoding="utf-8")
+        argv = ["discretize", "--input", str(fuzz_path), "--column", column]
+        assert self._run(argv + ([] if header else ["--no-header"])) in {0, 1, 2, 3}

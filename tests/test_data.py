@@ -1,6 +1,10 @@
-"""Panel encoding, transition counting, and series transforms."""
+"""Panel encoding, transition counting, series transforms, and CSV reading."""
 
+import csv
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +284,31 @@ class TestCsvIngestion:
         with pytest.raises(DataError, match="non-numeric"):
             read_covariates_csv(path)
 
+    def test_header_width_must_match_rows(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text("date,s1,s2,s3\n2020-01,1,2\n2020-02,2,1\n")
+        with pytest.raises(DataError, match="row 1 has 3 cells, expected 4"):
+            read_panel_csv(path, has_header=True, time_col="s3")
+
+    @pytest.mark.parametrize(
+        "time_col",
+        [0, "0", -3, "-3", np.int64(0)],
+        ids=["int", "digits", "negative-int", "negative-digits", "numpy-int"],
+    )
+    def test_time_col_index(self, tmp_path, time_col):
+        path = tmp_path / "panel.csv"
+        path.write_text("t1,a,x\nt2,b,y\nt3,a,y\n")
+        panel = read_panel_csv(path, time_col=time_col)
+        assert panel.time_index == ["t1", "t2", "t3"]
+        assert panel.labels == [["a", "b"], ["x", "y"]]
+
+    @pytest.mark.parametrize("time_col", [3, "-4"])
+    def test_time_col_index_out_of_range(self, tmp_path, time_col):
+        path = tmp_path / "panel.csv"
+        path.write_text("t1,a,x\nt2,b,y\n")
+        with pytest.raises(DataError, match=f"column {time_col} out of range for 3 column"):
+            read_panel_csv(path, time_col=time_col)
+
     def test_covariate_length_must_match(self):
         panel = encode_sequences([[1, 2, 1], [2, 1, 2]])
         cov = CovariateMatrix(np.zeros((5, 1)), ["x"])
@@ -287,3 +316,126 @@ class TestCsvIngestion:
 
         with pytest.raises(DataError, match="rows"):
             build_design(panel, 0, 0, cov)
+
+
+# The reading algorithm the package used before it had one shared reader,
+# kept as an oracle: csv rows, blank rows dropped, each cell stripped and
+# coded one at a time.
+def _oracle_rows(path, has_header):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    return (rows[1:], rows[0]) if has_header else (rows, None)
+
+
+def _oracle_panel(path, has_header, time_col):
+    rows, header = _oracle_rows(path, has_header)
+    columns = [[] for _ in rows[0]]
+    for row in rows:
+        for c, cell in enumerate(row):
+            columns[c].append(cell.strip())
+    time_index = None
+    if time_col is not None:
+        # header names were not stripped then; they are now
+        names = [name.strip() for name in header or []]
+        time_index = columns.pop(time_col if isinstance(time_col, int) else names.index(time_col))
+    if not columns:
+        raise DataError("no columns supplied")
+    states = np.empty((len(rows), len(columns)), dtype=int)
+    labels = []
+    for j, col in enumerate(columns):
+        mapping = {}
+        for t, value in enumerate(col):
+            states[t, j] = mapping.setdefault(value, len(mapping) + 1)
+        if len(mapping) < 2:
+            raise DataError(f"column {j} is constant")
+        labels.append(list(mapping))
+    return states, labels, time_index
+
+
+def _oracle_covariates(path):
+    rows, header = _oracle_rows(path, True)
+    values = np.empty((len(rows), len(header)))
+    for r, row in enumerate(rows):
+        for c, cell in enumerate(row):
+            values[r, c] = float(cell.strip())
+    return values, [name.strip() for name in header]  # names were not stripped then
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+_BLANK_LINES = st.lists(st.sampled_from(["", "   ", " , ", ",,"]), max_size=2)
+
+
+def _csv_text(data, table, quote_all=False):
+    """CSV text of a table, padded cells and blank lines drawn in between."""
+    buffer = io.StringIO()
+    writer = csv.writer(
+        buffer, lineterminator="\n", quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
+    )
+    lines = []
+    for row in table:
+        lines.extend(data.draw(_BLANK_LINES))
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([data.draw(_PAD) + cell + data.draw(_PAD) for cell in row])
+        lines.append(buffer.getvalue().rstrip("\n"))
+    return "\n".join(lines) + "\n"
+
+
+def _write(text):
+    handle = tempfile.NamedTemporaryFile(
+        "w", suffix=".csv", encoding="utf-8", newline="", delete=False
+    )
+    with handle:
+        handle.write(text)
+    return Path(handle.name)
+
+
+class TestReaderMatchesCellOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_panel(self, data):
+        ncol = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(2, 12))
+        labels = st.sampled_from(["a", "b", "1", "2", "x,y", "p q", "\u00e9", '"q"'])
+        table = [[data.draw(labels) for _ in range(ncol)] for _ in range(n)]
+        has_header = data.draw(st.booleans())
+        if has_header:
+            table.insert(0, [f"c{c}" if c else "t,0" for c in range(ncol)])
+        time_col = None
+        if ncol > 1 and data.draw(st.booleans()):
+            time_col = data.draw(st.integers(0, ncol - 1))
+            if has_header and data.draw(st.booleans()):
+                time_col = table[0][time_col]
+        path = _write(_csv_text(data, table))
+        try:
+            try:
+                expected = _oracle_panel(path, has_header, time_col)
+            except DataError:
+                with pytest.raises(DataError):
+                    read_panel_csv(path, has_header=has_header, time_col=time_col)
+                return
+            panel = read_panel_csv(path, has_header=has_header, time_col=time_col)
+        finally:
+            path.unlink()
+        states, labels, time_index = expected
+        assert np.array_equal(panel.states, states)
+        assert panel.labels == labels
+        assert panel.time_index == time_index
+        assert time_index is None or type(panel.time_index) is list
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_covariates(self, data):
+        ncol = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 10))
+        numbers = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        table = [["x,0" if c == 0 else f"x{c}" for c in range(ncol)]]
+        table += [[data.draw(numbers) for _ in range(ncol)] for _ in range(n)]
+        path = _write(_csv_text(data, table, quote_all=data.draw(st.booleans())))
+        try:
+            cov = read_covariates_csv(path)
+            values, header = _oracle_covariates(path)
+        finally:
+            path.unlink()
+        assert np.array_equal(cov.values, values)
+        assert cov.column_names == header

@@ -1,6 +1,7 @@
 """Probit-link mixture: probabilities, likelihood, estimation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.optimize
 
 from markovmix.data import Panel, TransitionMatrix, encode_sequences, transition_matrix_grid
 from markovmix.inference import norm_cdf
-from markovmix.optim import numeric_gradient
+from markovmix.optim import GRAD_TOL, MAX_INNER_ITER, numeric_gradient
 from markovmix.probit import (
     _equation_loglik,
     _equation_score,
@@ -287,6 +288,29 @@ class TestEstimateMtdProbit:
             estimate_mtd_probit(panel, initial=[1.0])
         with pytest.raises(ValueError):
             estimate_mtd_probit(panel, initial=[np.inf, 1.0, 1.0])
+
+    def test_non_convergence_warning_states_facts(self):
+        # neither equation converges on this small two-state panel; the
+        # warning must report what the solver saw, not guess a cause
+        rng = np.random.default_rng(5)
+        s1 = simulate_homog_chain(np.array([[0.7, 0.3], [0.4, 0.6]]), 400, rng=rng)
+        s2 = simulate_homog_chain(np.array([[0.6, 0.4], [0.25, 0.75]]), 400, rng=rng)
+        fit = estimate_mtd_probit(encode_sequences([s1.tolist(), s2.tolist()]))
+        assert not all(fit.converged)
+        for converged, equation in zip(fit.converged, fit.fit_report.equations):
+            notes = [w for w in equation.warnings if w.startswith("optimizer")]
+            if converged:
+                assert notes == []
+                continue
+            (note,) = notes
+            match = re.fullmatch(
+                r"optimizer did not converge: (iteration cap reached|line search stalled) "
+                r"after (\d+) iterations; final max \|score\| (\S+)",
+                note,
+            )
+            assert match, note
+            assert 0 < int(match[2]) <= MAX_INNER_ITER
+            assert float(match[3]) > GRAD_TOL
 
     def test_label_equivariance(self):
         # permuting state labels permutes the fitted probabilities
