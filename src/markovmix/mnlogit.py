@@ -6,6 +6,10 @@ Newton-Raphson maximum likelihood with state 1 as the reference
 category.  Designs are built with an intercept, indicator columns for
 lag states 2..m_k, and the covariate row assigned to the predicted
 time step (covariate lag is caller-controlled, default 1).
+
+The likelihood works category-major, on the design as (p, n) and the
+logits as (m-1, n), so softmax reductions run along axis 0 and not
+along the short rows of an (n, m) array.
 """
 
 from __future__ import annotations
@@ -110,35 +114,56 @@ def build_design(
 
 def mnlogit_loglik(coefficients: np.ndarray, design: np.ndarray, response: np.ndarray) -> float:
     """Multinomial log-likelihood at the given (m-1, p) coefficients."""
-    logits = _full_logits(coefficients, design)
-    top = logits.max(axis=1)
-    log_norm = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
-    row_ll = logits[np.arange(len(response)), response - 1] - log_norm
-    return float(row_ll.sum())
+    return _evaluate(coefficients, design.T, _onehot(coefficients, response))[0]
 
 
 def mnlogit_score(coefficients: np.ndarray, design: np.ndarray, response: np.ndarray) -> np.ndarray:
     """Analytic score, flattened to match ``coefficients.ravel()``."""
-    coefficients = np.atleast_2d(coefficients)
-    probs = _softmax(_full_logits(coefficients, design))
-    m = coefficients.shape[0] + 1
-    indicators = (response[:, None] == np.arange(2, m + 1)[None, :]).astype(float)
-    # (m-1, p) blocks: X' (1{y=c} - P_c)
-    return ((indicators - probs[:, 1:]).T @ design).ravel()
+    onehot = _onehot(coefficients, response)
+    return _score(design.T, onehot, _evaluate(coefficients, design.T, onehot)[1])
 
 
 def _mnlogit_hessian(coefficients: np.ndarray, design: np.ndarray) -> np.ndarray:
     """Analytic Hessian of the log-likelihood on the stacked coefficients."""
-    probs = _softmax(_full_logits(coefficients, design))
-    m_minus_1, p = coefficients.shape
-    hess = np.empty((m_minus_1 * p, m_minus_1 * p))
-    for a in range(m_minus_1):
-        pa = probs[:, a + 1]
-        for b in range(a, m_minus_1):
-            pb = probs[:, b + 1]
-            w = pa * ((1.0 if a == b else 0.0) - pb)
-            block = -(design * w[:, None]).T @ design
-            hess[a * p : (a + 1) * p, b * p : (b + 1) * p] = block
+    return _hessian(design.T, _evaluate(coefficients, design.T, 0.0)[1])
+
+
+def _onehot(coefficients: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """(m-1, n) indicators 1{y_t = c} of the non-reference states c = 2..m."""
+    states = np.arange(2, len(np.atleast_2d(coefficients)) + 2)[:, None]
+    return (np.asarray(response)[None, :] == states).astype(float)
+
+
+def _evaluate(coefficients: np.ndarray, design_t: np.ndarray, onehot) -> tuple[float, np.ndarray]:
+    """Log-likelihood and (m, n) probabilities at the (p, n) transposed design.
+
+    The logits are (m-1, n), so every reduction runs along axis 0, across
+    the states of one step; row 0 of the probabilities is the reference.
+    ``onehot`` is 0.0 where only the probabilities are wanted.
+    """
+    logits = np.atleast_2d(coefficients) @ design_t
+    top = np.maximum(logits.max(axis=0), 0.0)
+    probs = np.empty((logits.shape[0] + 1, logits.shape[1]))
+    with np.errstate(under="ignore"):  # a probability below 1e-308 is 0
+        np.exp(-top, out=probs[0])
+        np.exp(logits - top, out=probs[1:])
+        total = probs.sum(axis=0)
+        probs /= total
+    log_norm = top + np.log(total)
+    return float(((onehot * logits).sum(axis=0) - log_norm).sum()), probs
+
+
+def _score(design_t: np.ndarray, onehot: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    return ((onehot - probs[1:]) @ design_t.T).ravel()  # (m-1, p) blocks X' (1{y=c} - P_c)
+
+
+def _hessian(design_t: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    k, p = probs.shape[0] - 1, design_t.shape[0]
+    hess = np.empty((k * p, k * p))
+    for a in range(k):
+        for b in range(a, k):
+            w = probs[a + 1] * ((1.0 if a == b else 0.0) - probs[b + 1])
+            hess[a * p : (a + 1) * p, b * p : (b + 1) * p] = block = -(design_t * w) @ design_t.T
             if b != a:
                 hess[b * p : (b + 1) * p, a * p : (a + 1) * p] = block.T
     return hess
@@ -202,19 +227,24 @@ def fit_mnlogit(
 
 
 def _newton_fit(design: np.ndarray, response: np.ndarray, n_states: int):
-    """Newton-Raphson core; returns (coefficients, loglik, converged, iterations)."""
-    p = design.shape[1]
-    beta = np.zeros((n_states - 1, p))
-    ll = mnlogit_loglik(beta, design, response)
+    """Newton-Raphson core; returns (coefficients, loglik, converged, iterations).
+
+    One softmax per iterate serves its score and Hessian; the line
+    search's accepted candidate brings its own.
+    """
+    design_t = np.ascontiguousarray(design.T)
+    beta = np.zeros((n_states - 1, design_t.shape[0]))
+    onehot = _onehot(beta, response)
+    ll, probs = _evaluate(beta, design_t, onehot)
     converged = False
     iterations = 0
     for iterations in range(1, MAX_NEWTON_ITER + 1):
-        score = mnlogit_score(beta, design, response)
+        score = _score(design_t, onehot, probs)
         if np.max(np.abs(score)) <= SCORE_TOL:
             converged = True
             iterations -= 1
             break
-        info = -_mnlogit_hessian(beta, design)
+        info = -_hessian(design_t, probs)
         try:
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
@@ -223,7 +253,7 @@ def _newton_fit(design: np.ndarray, response: np.ndarray, n_states: int):
         # 40 failed halvings the smallest step is taken regardless
         for halvings in range(41):
             candidate = beta + 0.5**halvings * step.reshape(beta.shape)
-            ll_new = mnlogit_loglik(candidate, design, response)
+            ll_new, probs = _evaluate(candidate, design_t, onehot)
             if halvings == 40 or (np.isfinite(ll_new) and ll_new >= ll - 1e-12):
                 break
         beta = candidate
@@ -243,19 +273,7 @@ def predict_probs(model: MnLogitModel, design: np.ndarray) -> np.ndarray:
             f"design has {design.shape[1]} columns; model expects "
             f"{model.coefficients.shape[1]}"
         )
-    return _softmax(_full_logits(model.coefficients, design))
-
-
-def _full_logits(coefficients: np.ndarray, design: np.ndarray) -> np.ndarray:
-    coefficients = np.atleast_2d(coefficients)
-    z = design @ coefficients.T
-    return np.hstack([np.zeros((design.shape[0], 1)), z])
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    return expz / expz.sum(axis=1, keepdims=True)
+    return _evaluate(model.coefficients, design.T, 0.0)[1].T
 
 
 def _check_rank(
@@ -263,7 +281,9 @@ def _check_rank(
     spec: Optional[DesignSpec],
     column_map: Optional[np.ndarray] = None,
 ) -> None:
-    _, r, pivots = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    # on unit max-abs columns, so the verdict ignores the covariates' units
+    scaled = design / np.max(np.abs(design), axis=0)
+    _, r, pivots = scipy.linalg.qr(scaled, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = diag[0] * max(design.shape) * np.finfo(float).eps if diag.size else 0.0
     rank = int((diag > tol).sum())

@@ -7,7 +7,9 @@ maximized; minimization happens internally.  Contents:
   - project_simplex: Euclidean projection onto the probability simplex
   - maximize_unconstrained: Newton steps on the caller's Hessian, shifted
     to positive definite where it is indefinite (modified Newton), or
-    BFGS steps when no Hessian is given; the gradient is always analytic
+    BFGS steps when no Hessian is given; the gradient is always analytic.
+    A step that leaves x bitwise unchanged, or a Newton step that leaves
+    f so, ends the run ("line search stalled")
   - maximize_simplex: active-set Newton method on the probability
     simplex, certified by a KKT residual scaled to the sample size
   - maximize_auglag: Augmented Lagrangian on the probability simplex
@@ -127,35 +129,17 @@ def maximize_unconstrained(
     With ``hessian`` the steps are modified Newton steps; without it,
     BFGS steps.  Converged means max |gradient| <= ``gtol``.
     """
-    x0 = np.asarray(start, dtype=float)
-    f0 = f(x0)
-    if not np.isfinite(f0):
+    x = np.array(start, dtype=float)
+    fval = -f(x)  # run as minimization of -f
+    if not np.isfinite(fval):
         raise EstimationError("objective is not finite at the starting point")
-    return _gradient_method_max(f, x0, f0, gradient, hessian, gtol, max_iter)
-
-
-def _gradient_method_max(f, x0, f0, grad_f, hessian, gtol, max_iter) -> OptimResult:
-    """Newton-Raphson / BFGS core, run as minimization of -f from f(x0) = f0."""
-
-    def neg_f(x):
-        return -f(x)
-
-    x = x0.copy()
-    fval = -f0
-    g = -grad_f(x)  # gradient of -f
+    g = -gradient(x)  # gradient of -f
     p = x.size
     h_inv = np.eye(p)
-
-    converged = False
     iterations = 0
     message = "iteration cap reached"
-    for _ in range(max_iter):
-        if np.max(np.abs(g)) <= gtol:
-            converged = True
-            message = "gradient norm below tolerance"
-            break
+    while iterations < max_iter and np.max(np.abs(g)) > gtol:
         iterations += 1
-
         if hessian is None:
             direction = -h_inv @ g
         else:  # modified Newton: shift an indefinite Hessian to positive definite
@@ -167,15 +151,16 @@ def _gradient_method_max(f, x0, f0, grad_f, hessian, gtol, max_iter) -> OptimRes
             # degenerate BFGS state: fall back to steepest descent
             direction = -g
 
-        step, fval_new, ok = _armijo_descent(neg_f, x, fval, g, direction)
+        step, fval_new, ok = _armijo_descent(lambda z: -f(z), x, fval, g, direction)
         x_new = x + step * direction
-        # a step too small to move x leaves every later iteration identical
-        if not ok or np.array_equal(x_new, x):
+        # a step too small to move x leaves every later iteration identical;
+        # a Newton step that leaves f bitwise unchanged is at f's rounding
+        # floor, where Armijo accepts steps that gain nothing
+        if not ok or np.array_equal(x_new, x) or (hessian is not None and fval_new == fval):
             message = "line search stalled"
             break
 
-        g_new = -grad_f(x_new)
-
+        g_new = -gradient(x_new)
         if hessian is None:
             s = x_new - x
             y = g_new - g
@@ -188,18 +173,11 @@ def _gradient_method_max(f, x0, f0, grad_f, hessian, gtol, max_iter) -> OptimRes
                 ) + rho * np.outer(s, s)
         x, fval, g = x_new, fval_new, g_new
 
-    if np.max(np.abs(g)) <= gtol:
-        converged = True
+    converged = bool(np.max(np.abs(g)) <= gtol)
+    if converged:
         message = "gradient norm below tolerance"
-
-    return OptimResult(
-        argmax=x,
-        value=-float(fval),
-        converged=converged,
-        iterations=iterations,
-        gradient=-g,
-        message=message,
-    )
+    return OptimResult(argmax=x, value=-float(fval), converged=converged,
+                       iterations=iterations, gradient=-g, message=message)
 
 
 def _armijo_descent(f, x, fx, g, direction, max_backtracks: int = 60):

@@ -14,9 +14,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from markovmix import optim
+from markovmix._mixture import mixture_gradient, mixture_hessian, mixture_loglik
 from markovmix.cli import main
+from markovmix.data import CovariateMatrix, Panel
+from markovmix.gmmc import build_prob_tensor
 from markovmix.simulation import SimConfig, run_part1
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -74,3 +79,34 @@ def test_mc_part1_matches_references(workloads):
                        seed=workloads.MC_STUDY_SEED)
     summary = workloads.study_summary(run_part1(config, n_jobs=1))
     assert workloads.check_study(summary, _references("mc-part1"), workloads.MC_REPS) == []
+
+
+def test_gmmc_weight_solve_stays_off_the_inner_cap(workloads, monkeypatch):
+    # q perturbed at the 1e-13 level moves the Augmented Lagrangian onto
+    # zero-gain Newton steps that Armijo accepts while |g| sits above the
+    # absolute inner gtol; such a solve used to run to MAX_INNER_ITER
+    states, x = workloads.generate.gmmc_inputs(workloads.INPUT_SEED)
+    panel = Panel(states, (3, 3, 3))
+    tensors, _, _ = build_prob_tensor(panel, CovariateMatrix(x.reshape(-1, 1), ["x"]))
+    inner = []
+    solve = optim.maximize_unconstrained
+
+    def spy(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        inner.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(optim, "maximize_unconstrained", spy)
+    start = np.full(3, 1.0 / 3.0)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for tensor in tensors:
+            q = tensor + 1e-13 * rng.normal(size=tensor.shape)
+            problem = (lambda w: mixture_loglik(w, q), start,
+                       lambda w: mixture_gradient(w, q), lambda w: mixture_hessian(w, q))
+            result = optim.maximize_auglag(*problem)
+            oracle = optim.maximize_simplex(*problem, n_obs=q.shape[0])
+            assert result.converged and oracle.converged
+            loglik = mixture_loglik(optim.project_simplex(result.argmax), q)
+            assert loglik == pytest.approx(oracle.value, rel=1e-9)
+    assert len(inner) >= 60 and max(inner) < optim.MAX_INNER_ITER

@@ -373,12 +373,44 @@ def _damaged_csv(draw, cells):
     return "".join(",".join(row) + "\n" for row in rows)
 
 
+FUZZ_ROWS = 30
+
+
+@st.composite
+def _covariate_csv(draw):
+    """``FUZZ_ROWS`` rows of one or two covariates from 1e-300 to 1e300 in
+    magnitude, some columns constant, with up to two NaN or inf cells."""
+    columns = []
+    for _ in range(draw(st.integers(1, 2))):
+        scale = draw(st.sampled_from([1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300]))
+        if draw(st.booleans()):
+            columns.append([repr(scale)] * FUZZ_ROWS)
+        else:
+            values = draw(st.lists(st.floats(-10.0, 10.0), min_size=FUZZ_ROWS, max_size=FUZZ_ROWS))
+            columns.append([repr(v * scale) for v in values])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        column = columns[draw(st.integers(0, len(columns) - 1))]
+        column[draw(st.integers(0, FUZZ_ROWS - 1))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    header = ",".join(f"x{i}" for i in range(len(columns)))
+    return header + "\n" + "".join(",".join(row) + "\n" for row in zip(*columns))
+
+
 class TestInputFuzz:
-    """Ragged rows, empty and non-numeric cells and blank lines never escape main."""
+    """Ragged rows, empty and non-numeric cells, blank lines and extreme or
+    non-finite covariates never escape main."""
 
     @pytest.fixture(scope="class")
     def fuzz_path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("fuzz") / "input.csv"
+
+    @pytest.fixture(scope="class")
+    def fuzz_panel(self, tmp_path_factory):
+        rng = np.random.default_rng(17)
+        rows = zip(simulate_homog_chain(np.array([[0.6, 0.4], [0.3, 0.7]]), FUZZ_ROWS, rng=rng),
+                   simulate_homog_chain(np.array([[0.5, 0.5], [0.4, 0.6]]), FUZZ_ROWS, rng=rng))
+        path = tmp_path_factory.mktemp("fuzz-panel") / "panel.csv"
+        path.write_text("".join(f"{a},{b}\n" for a, b in rows), encoding="utf-8")
+        return path
 
     def _run(self, argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -400,3 +432,14 @@ class TestInputFuzz:
         fuzz_path.write_text(text, encoding="utf-8")
         argv = ["discretize", "--input", str(fuzz_path), "--column", column]
         assert self._run(argv + ([] if header else ["--no-header"])) in {0, 1, 2, 3}
+
+    @settings(max_examples=30, deadline=None)
+    @given(text=_covariate_csv())
+    def test_estimate_gmmc_covariates(self, fuzz_path, fuzz_panel, text):
+        fuzz_path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["estimate", "--model", "gmmc", "--y", str(fuzz_panel),
+                       "--x", str(fuzz_path)])
+        assert rc in {0, 1, 2, 3}
+        assert "Traceback" not in err.getvalue()

@@ -1,18 +1,24 @@
 """Multinomial logit: closed forms, score identity, calibration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from markovmix.data import CovariateMatrix, encode_sequences
 from markovmix.exceptions import DataError
 from markovmix.mnlogit import (
+    DesignSpec,
+    MnLogitModel,
+    _check_rank,
+    _mnlogit_hessian,
     build_design,
     fit_mnlogit,
     mnlogit_loglik,
     mnlogit_score,
     predict_probs,
 )
-from markovmix.optim import numeric_gradient
+from markovmix.optim import numeric_gradient, numeric_hessian
 
 
 def _simulate_logit(rng, beta, n):
@@ -99,6 +105,60 @@ class TestFitMnlogit:
         assert np.isfinite(value)
         assert value == pytest.approx(oracle, rel=1e-12, abs=1e-9)
 
+    def test_hessian_matches_numeric_hessian(self):
+        rng = np.random.default_rng(6)
+        beta = np.array([[0.3, -0.8, 0.5], [-0.2, 0.4, -0.6]])
+        design, response = _simulate_logit(rng, beta, 200)
+        point = rng.normal(size=(2, 3)) * 0.4
+        with np.errstate(all="raise"):
+            analytic = _mnlogit_hessian(point, design)
+            numeric = numeric_hessian(
+                lambda v: mnlogit_loglik(v.reshape(2, 3), design, response), point.ravel()
+            )
+        rel = np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric))
+        assert rel < 1e-6
+
+    def test_extreme_logits_match_logsumexp_oracle(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(12)
+        design, response = _simulate_logit(rng, np.array([[0.3, -0.8], [-0.2, 0.4]]), 120)
+        design[:, 1] = np.where(design[:, 1] < 0, -1.0, 1.0)
+        # every logit of states 2 and 3 is at least 800 in absolute value
+        point = np.array([[0.0, 900.0], [850.0, -50.0]])
+        logits = np.hstack([np.zeros((120, 1)), design @ point.T])
+        assert np.min(np.abs(logits[:, 1:])) >= 800.0
+        oracle = float((logits[np.arange(120), response - 1] - logsumexp(logits, axis=1)).sum())
+        with np.errstate(all="raise"):
+            value = mnlogit_loglik(point, design, response)
+            model = MnLogitModel(point, 3, DesignSpec(1, 1, 0), loglik=value,
+                                 converged=True, iterations=0)
+            probs = predict_probs(model, design)
+        assert value == pytest.approx(oracle, rel=1e-12)
+        assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e14, 1e100])
+    def test_rank_check_ignores_covariate_units(self, scale):
+        rng = np.random.default_rng(3)
+        design, response = _simulate_logit(rng, np.array([[0.3, 0.8], [-0.2, -0.5]]), 2000)
+        baseline = fit_mnlogit(design, response)
+        scaled = design * np.array([1.0, scale])
+        model = fit_mnlogit(scaled, response)
+        assert model.converged
+        assert np.allclose(model.coefficients * np.array([1.0, scale]),
+                           baseline.coefficients, rtol=1e-8, atol=1e-10)
+        collinear = np.column_stack([scaled, 3.0 * scaled[:, 1]])
+        # either member of the collinear pair is the dependent one; never the intercept
+        with pytest.raises(DataError, match=r"dependent column indices: \[[12]\]$"):
+            fit_mnlogit(collinear, response)
+
+    def test_rank_check_survives_a_huge_cell(self):
+        design = np.column_stack([np.ones(50), np.random.default_rng(1).normal(size=50)])
+        design[5, 1] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow showed as a RuntimeWarning
+            _check_rank(design, None)  # full rank: no column named
+
     def test_simulation_calibration_3se_coverage(self):
         # frozen-seed calibration: coefficient within 3 estimated standard
         # errors of truth in at least 99% of (replication, coefficient) pairs
@@ -108,8 +168,6 @@ class TestFitMnlogit:
         for _ in range(120):
             design, response = _simulate_logit(rng, beta_true, 800)
             model = fit_mnlogit(design, response)
-            from markovmix.mnlogit import _mnlogit_hessian
-
             info = -_mnlogit_hessian(model.coefficients, design)
             ses = np.sqrt(np.diag(np.linalg.inv(info))).reshape(1, 2)
             inside = np.abs(model.coefficients - beta_true) <= 3 * ses
