@@ -75,17 +75,17 @@ def build_prob_tensor(
     training rows (rows, m_j) for each source chain.
     """
     s = panel.n_chains
+    # a design depends only on its source chain k; k -> k also gives equation k's response
+    designs = [build_design(panel, k, k, covariates, x_lag) for k in range(s)]
     tensors: list[np.ndarray] = []
     submodels: list[list[MnLogitModel]] = []
     train_probs: list[list[np.ndarray]] = []
     for j in range(s):
+        response = designs[j][1]
         row_models: list[MnLogitModel] = []
         row_probs: list[np.ndarray] = []
         q_cols = []
-        for k in range(s):
-            design, response, spec = build_design(
-                panel, from_chain=k, to_chain=j, covariates=covariates, x_lag=x_lag
-            )
+        for k, (design, _, spec) in enumerate(designs):
             try:
                 model = fit_mnlogit(
                     design, response, n_states=panel.alphabet_sizes[j], spec=spec

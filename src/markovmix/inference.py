@@ -12,17 +12,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfc
 
 _SQRT2 = math.sqrt(2.0)
 
 # star thresholds as used in the displayed tables
 _STAR_LEVELS = ((0.001, "***"), (0.05, "**"), (0.1, "*"))
+# a 0-d result is a 0-d array; [()] makes it a float64 scalar, as a ufunc gives
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def norm_cdf(x) -> np.ndarray | float:
     """Standard normal CDF via 0.5 * erfc(-x / sqrt(2)), good to ~1e-15."""
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / _SQRT2)
+    return 0.5 * _erfc(-np.asarray(x, dtype=float) / _SQRT2)
 
 
 def chi2_1_sf(x) -> np.ndarray | float:
@@ -30,12 +31,12 @@ def chi2_1_sf(x) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     if (x < 0).any():
         raise ValueError("chi-square statistic must be non-negative")
-    return erfc(np.sqrt(x / 2.0))
+    return _erfc(np.sqrt(x / 2.0))[()]
 
 
 def normal_p_value(z) -> np.ndarray | float:
     """Two-sided p-value of a standard normal statistic."""
-    return erfc(np.abs(np.asarray(z, dtype=float)) / _SQRT2)
+    return _erfc(np.abs(np.asarray(z, dtype=float)) / _SQRT2)[()]
 
 
 def significance_stars(p: float) -> str:

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .data import CovariateMatrix, Panel
-from .exceptions import DataError
+from .exceptions import DataError, EstimationError
 
 SCORE_TOL = 1e-8
 LL_TOL = 1e-10
@@ -179,7 +178,8 @@ def fit_mnlogit(
     change below 1e-10.  A singular information matrix gets a small
     ridge; coefficients walking past |b| = 30 flag likely perfect
     separation (the fit is still returned).  A rank-deficient design is
-    an error naming the dependent columns.
+    an error naming the dependent columns, an overflowing information
+    matrix an EstimationError.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=int)
@@ -194,6 +194,8 @@ def fit_mnlogit(
         raise DataError(f"response states {missing} never observed; cannot fit {n_states} states")
     if nrows < p + 1:
         raise DataError(f"{nrows} rows cannot support {p} design columns")
+    if not np.isfinite(design).all():  # the rank check's SVD would not converge
+        raise DataError("design contains non-finite entries")
     # identically-zero columns carry no information and never enter a
     # prediction; fit without them and pin their coefficients at 0
     # (covers all-zero covariates and never-visited lag indicators)
@@ -249,6 +251,8 @@ def _newton_fit(design: np.ndarray, response: np.ndarray, n_states: int):
             step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
             step = np.linalg.solve(info + RIDGE * np.eye(info.shape[0]), score)
+        if not np.isfinite(step).all():
+            raise EstimationError("first-stage information matrix overflowed")
         # halve the step until the likelihood does not deteriorate; after
         # 40 failed halvings the smallest step is taken regardless
         for halvings in range(41):
@@ -281,12 +285,15 @@ def _check_rank(
     spec: Optional[DesignSpec],
     column_map: Optional[np.ndarray] = None,
 ) -> None:
-    # on unit max-abs columns, so the verdict ignores the covariates' units
+    # on unit max-abs columns, so the verdict ignores the covariates' units; a full
+    # matrix_rank is pivoted QR's verdict too (sigma_min <= min |R_kk|, sigma_max >= |R_00|)
     scaled = design / np.max(np.abs(design), axis=0)
+    if np.linalg.matrix_rank(scaled) == design.shape[1]:
+        return
+    import scipy.linalg  # only a design that fails the screen loads scipy
     _, r, pivots = scipy.linalg.qr(scaled, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    tol = diag[0] * max(design.shape) * np.finfo(float).eps if diag.size else 0.0
-    rank = int((diag > tol).sum())
+    rank = int((diag > diag[0] * max(design.shape) * np.finfo(float).eps).sum())
     if rank < design.shape[1]:
         bad = sorted(int(c) for c in pivots[rank:])
         if column_map is not None:

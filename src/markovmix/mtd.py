@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from ._mixture import _hessian_std_errors, _is_flat, mixture_gradient, mixture_hessian, mixture_loglik
 from .data import Panel, TransitionMatrix, count_transitions, empirical_distribution
@@ -167,6 +166,7 @@ def estimate_lambda_minmax(panel: Panel) -> np.ndarray:
     max_i | sum_k w_k (P_jk' xhat_k)_i - xhat_j_i | as a linear program
     in (weights, bound).
     """
+    import scipy.optimize  # only the min-max weights load scipy here
     s = panel.n_chains
     weights = np.empty((s, s))
     for j in range(s):

@@ -18,8 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from scipy.special import log_ndtr, logsumexp
-
 from ._mixture import _hessian_std_errors
 from .data import Panel, TransitionMatrix, transition_matrix_grid, transition_patterns
 from .inference import FitReport, equation_report
@@ -158,6 +156,7 @@ def _stack_plugin_probs(
 
 
 def _log_probs(etas: np.ndarray, plugin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.special import log_ndtr, logsumexp  # only a probit fit loads scipy
     # in log space throughout: Phi underflows to 0 for arguments below
     # about -38, but log(Phi) stays finite for any finite argument
     args = etas[0] + np.einsum("rkc,k->rc", plugin, etas[1:])
@@ -180,6 +179,7 @@ def _equation_score(
     d loglik / d arg_c = count * (1{c = realized} - pi_c) * phi/Phi(arg_c),
     with the inverse Mills ratio phi/Phi taken as exp(log phi - log Phi).
     """
+    from scipy.special import log_ndtr
     args, log_probs = _log_probs(etas, plugin)
     mills = np.exp(-0.5 * args**2 - 0.5 * np.log(2.0 * np.pi) - log_ndtr(args))
     hit = np.zeros_like(args)

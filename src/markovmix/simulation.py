@@ -21,7 +21,6 @@ than 5% fail, because silently dropping more would bias the rates.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -427,6 +426,7 @@ def _map_replications(worker, payloads, n_jobs):
     if n_jobs <= 1:
         results = [worker(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # its imports cost 10-18 ms
         chunk = max(1, len(payloads) // (4 * n_jobs))
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(worker, payloads, chunksize=chunk))

@@ -304,6 +304,20 @@ class TestExitCodes:
         assert "did not converge" in proc.stderr
         assert "weight optimization did not converge" in proc.stdout
 
+    def test_overflowing_first_stage_names_its_stage(self, synthetic_files, tmp_path, capsys):
+        panel, _ = synthetic_files
+        n = len(panel.read_text().splitlines())
+        cov = tmp_path / "huge.csv"
+        z = np.random.default_rng(3).normal(size=n)
+        cov.write_text("x\n" + "".join(f"{1e300 * v:.17g}\n" for v in z))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = main(["estimate", "--model", "gmmc", "--y", str(panel), "--x", str(cov)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: conditional fit for equation 0, source chain 0: first-stage "
+            "information matrix overflowed\n"
+        )
+
     @pytest.mark.parametrize("role", ["--y", "--x", "--input"])
     def test_non_utf8_csv_is_a_data_error(self, synthetic_files, tmp_path, capsys, role):
         panel, cov = synthetic_files

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from markovmix.data import CovariateMatrix, encode_sequences
-from markovmix.exceptions import DataError
+from markovmix.exceptions import DataError, EstimationError
 from markovmix.mnlogit import (
     DesignSpec,
     MnLogitModel,
@@ -206,6 +206,110 @@ class TestFitMnlogit:
         # a chain that never leaves state 1 is coded with a one-state alphabet
         with pytest.raises(DataError, match="at least 2"):
             fit_mnlogit(np.ones((30, 1)), np.ones(30, dtype=int))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_design_rejected(self, bad):
+        design = np.column_stack([np.ones(30), np.linspace(-1.0, 1.0, 30)])
+        design[3, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            fit_mnlogit(design, np.tile([1, 2], 15))
+
+    def test_overflowing_information_matrix_fails_fast(self):
+        # X'WX overflows on a covariate of 1e300; the first non-finite
+        # Newton step ends the fit instead of 100 iterations on NaN
+        rng = np.random.default_rng(0)
+        design = np.column_stack([np.ones(30), 1e300 * rng.normal(size=30)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(EstimationError, match="information matrix overflowed"):
+                fit_mnlogit(design, rng.integers(1, 3, size=30))
+
+
+def _qr_rank(design):
+    """The pivoted-QR verdict: |R_ii| > |R_00| * max(shape) * eps on unit max-abs columns."""
+    import scipy.linalg
+
+    scaled = design / np.max(np.abs(design), axis=0)
+    r, pivots = scipy.linalg.qr(scaled, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    return int((diag > diag[0] * max(design.shape) * np.finfo(float).eps).sum()), pivots
+
+
+def _verdict_designs():
+    rng = np.random.default_rng(21)
+    designs = {}
+    # the full-rank designs of the scale and huge-cell tests
+    scale_design, _ = _simulate_logit(np.random.default_rng(3), np.array([[0.3, 0.8], [-0.2, -0.5]]), 2000)
+    for scale in (1.0, 1e14, 1e100):
+        designs[f"scale {scale:g}"] = scale_design * np.array([1.0, scale])
+    huge = np.column_stack([np.ones(50), np.random.default_rng(1).normal(size=50)])
+    huge[5, 1] = 1e308
+    designs["huge cell"] = huge
+    # planted collinearity: multiples, combinations and complete indicator sets
+    for trial in range(12):
+        n, p = 40 + 30 * trial, 2 + trial % 4
+        base = np.column_stack([np.ones(n)] + [rng.normal(size=n) for _ in range(p - 1)])
+        a, b = rng.choice(p, 2, replace=False)
+        planted = rng.normal() * base[:, a] + (trial % 3) * rng.normal() * base[:, b]
+        design = np.insert(base, rng.integers(0, p + 1), planted, axis=1)
+        designs[f"planted {trial}"] = design * 10.0 ** rng.integers(-60, 60, size=p + 1)
+    lag = rng.integers(1, 4, size=200)
+    designs["all lag indicators"] = np.column_stack(
+        [np.ones(200)] + [(lag == state).astype(float) for state in (1, 2, 3)] + [rng.normal(size=200)]
+    )
+    return designs
+
+
+def _near_parallel(ratio, n=2000):
+    """[1, 1 + eps * u] with sigma_min at ratio x pivoted QR's rank tolerance."""
+    u = np.random.default_rng(5).normal(size=n)
+    u -= u.mean()
+
+    def smallest(eps):
+        design = np.column_stack([np.ones(n), 1.0 + eps * u])
+        scaled = design / np.max(np.abs(design), axis=0)
+        tol = np.linalg.norm(scaled, axis=0).max() * n * np.finfo(float).eps
+        return np.linalg.svd(scaled, compute_uv=False)[-1] / tol
+
+    eps = 1e-6 * ratio / smallest(1e-6)  # sigma_min is linear in a small eps
+    return np.column_stack([np.ones(n), 1.0 + eps * u])
+
+
+class TestRankVerdict:
+    """_check_rank's verdict, a matrix_rank screen then pivoted QR, against pivoted QR alone."""
+
+    @pytest.mark.parametrize("name, design", list(_verdict_designs().items()))
+    def test_verdict_and_names_agree_with_pivoted_qr(self, name, design):
+        rank, pivots = _qr_rank(design)
+        full_rank = name.startswith(("scale", "huge"))  # the others are planted
+        assert (rank == design.shape[1]) == full_rank
+        if full_rank:
+            _check_rank(design, None)
+            return
+        expected = sorted(int(c) for c in pivots[rank:])
+        with pytest.raises(DataError) as err:
+            _check_rank(design, None)
+        assert str(err.value) == f"design is rank deficient; dependent column indices: {expected}"
+
+    @pytest.mark.parametrize("ratio", [1.2, 0.85, 0.6])
+    def test_near_threshold_verdict_is_pivoted_qr(self, ratio):
+        # sigma_min at 1.2 x QR's tolerance lies below matrix_rank's own
+        # (sigma_max / |R_00| = sqrt(2) here), and at 0.85 below QR's while
+        # |R_11| stays above it: both fail the screen, and QR finds them
+        # full-rank; at 0.6 QR finds column 1 dependent
+        design = _near_parallel(ratio)
+        scaled = design / np.max(np.abs(design), axis=0)
+        sigma = np.linalg.svd(scaled, compute_uv=False)
+        r_00 = np.linalg.norm(scaled, axis=0).max()
+        assert sigma[-1] / (r_00 * max(design.shape) * np.finfo(float).eps) == pytest.approx(ratio, rel=1e-3)
+        assert sigma[0] / r_00 == pytest.approx(np.sqrt(2.0), rel=1e-6)
+        rank, pivots = _qr_rank(design)
+        assert rank == (2 if ratio > 0.8 else 1)
+        if rank == 2:
+            _check_rank(design, None)
+            return
+        with pytest.raises(DataError, match=r"dependent column indices: \[1\]$"):
+            _check_rank(design, None)
 
 
 class TestPredictProbs:
