@@ -200,6 +200,8 @@ def fit_mnlogit(
     # prediction; fit without them and pin their coefficients at 0
     # (covers all-zero covariates and never-visited lag indicators)
     active = ~np.all(design == 0.0, axis=0)
+    if not active.any():
+        raise DataError("design has no nonzero column")
     reduced = design[:, active]
     _check_rank(reduced, spec, np.nonzero(active)[0])
 

@@ -12,16 +12,18 @@ against zero.
 Every study is reproducible: study-level draws (generating
 coefficients, the homogeneous transition matrix) come from a stream
 keyed by (seed, 0) and each replication r from (seed, 1, r), so serial
-and parallel execution aggregate to identical reports.  Replications
-whose fit fails (a state never visited, a singular Hessian or linear
-solve) are counted and excluded from the rates; a study aborts if more
-than 5% fail, because silently dropping more would bias the rates.
+and parallel execution aggregate to identical reports.  A replication
+fails when a chain never visits one of its states, the weight solve
+does not converge, equation 1 has no standard errors, or a linear solve
+is singular.  Failures are counted and excluded from the rates; a study
+aborts if more than 5% fail, because silently dropping more would bias
+the rates.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -105,26 +107,8 @@ class SimReport:
     lambda_abs_errors: Optional[list[float]] = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "scenario": self.scenario,
-            "states": self.states,
-            "n_obs": self.n_obs,
-            "n_reps": self.n_reps,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "hypotheses": self.hypotheses,
-            "rejection_rates": self.rejection_rates,
-            "dimension": self.dimension,
-            "power": self.power,
-            "n_failed": self.n_failed,
-            "generator": self.generator,
-        }
-        if self.lambda_true is not None:
-            doc["lambda_true"] = self.lambda_true
-            doc["lambda_mean"] = self.lambda_mean
-            doc["lambda_mean_abs_error"] = self.lambda_mean_abs_error
-            doc["lambda_abs_errors"] = self.lambda_abs_errors
-        return doc
+        """Every field; the lambda_* fields only for Part II, which sets them."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -152,11 +136,15 @@ def simulate_homog_chain(
     if rng is None:
         rng = np.random.default_rng()
     cum = probs.cumsum(axis=1)
-    states = np.empty(n, dtype=int)
+    return _walk(np.broadcast_to(cum, (n - 1, *cum.shape)), rng.random(n - 1), init_state)
+
+
+def _walk(cum: np.ndarray, draws: np.ndarray, init_state: int) -> np.ndarray:
+    """Chain whose step t from state i + 1 inverts ``draws[t - 1]`` on ``cum[t - 1, i]``."""
+    states = np.empty(len(draws) + 1, dtype=int)
     states[0] = init_state
-    draws = rng.random(n - 1)
-    for t in range(1, n):
-        states[t] = np.searchsorted(cum[states[t - 1] - 1], draws[t - 1], side="right") + 1
+    for t in range(1, len(states)):
+        states[t] = np.searchsorted(cum[t - 1, states[t - 1] - 1], draws[t - 1], side="right") + 1
     return states
 
 
@@ -203,15 +191,7 @@ def simulate_nonhomog_chain(
     if rng is None:
         rng = np.random.default_rng()
     tables = nonhomog_prob_table(coefs, x[: n - 1])  # table[t-1] drives step t
-    cum = tables.cumsum(axis=2)
-    states = np.empty(n, dtype=int)
-    states[0] = init_state
-    draws = rng.random(n - 1)
-    for t in range(1, n):
-        states[t] = (
-            np.searchsorted(cum[t - 1, states[t - 1] - 1], draws[t - 1], side="right") + 1
-        )
-    return states
+    return _walk(tables.cumsum(axis=2), rng.random(n - 1), init_state)
 
 
 def _draw_part1_generator(states: int, rng: np.random.Generator) -> dict:
@@ -275,42 +255,42 @@ def _binary_prob_table(coef: dict, x: np.ndarray) -> np.ndarray:
 
 
 def _fit_and_test(panel_cols, x, alpha, hypotheses):
-    """Fit the mixture model and evaluate Wald hypotheses on equation 1."""
-    states = np.column_stack(panel_cols)
+    """Fit the mixture model and evaluate Wald hypotheses on equation 1.
+
+    Returns the rejection flags and the weight estimates, or (None, None)
+    when the replication fails.  Each chain's alphabet is its largest
+    state, so ``Panel`` rejects a chain that never visits one of them.
+    """
     sizes = tuple(int(col.max()) for col in panel_cols)
-    for j, (col, m) in enumerate(zip(panel_cols, sizes)):
-        if len(np.unique(col)) != m:
-            raise DataError(f"chain {j} never visits some state")
-    panel = Panel(states=states, alphabet_sizes=sizes)
-    cov = CovariateMatrix(x.reshape(-1, 1), ["x"])
-    fit = estimate_gmmc(panel, cov, x_lag=1)
-    if not all(fit.converged):
-        raise EstimationError("weight optimization did not converge")
-    eq = fit.fit_report.equations[0]
-    if not np.isfinite(eq.std_errors).all():
-        raise EstimationError("standard errors unavailable")
-    rejected = []
-    for coord, null_value in hypotheses:
-        res = wald_test(eq.estimates[coord], eq.std_errors[coord], null_value)
-        rejected.append(bool(res.p_value < alpha))
+    try:
+        panel = Panel(states=np.column_stack(panel_cols), alphabet_sizes=sizes)
+        cov = CovariateMatrix(x.reshape(-1, 1), ["x"])
+        fit = estimate_gmmc(panel, cov, x_lag=1)
+        if not all(fit.converged):
+            raise EstimationError("weight optimization did not converge")
+        eq = fit.fit_report.equations[0]
+        if not np.isfinite(eq.std_errors).all():
+            raise EstimationError("standard errors unavailable")
+        rejected = []
+        for coord, null_value in hypotheses:
+            res = wald_test(eq.estimates[coord], eq.std_errors[coord], null_value)
+            rejected.append(bool(res.p_value < alpha))
+    except (DataError, EstimationError, np.linalg.LinAlgError):
+        return None, None
     return rejected, eq.estimates.copy()
 
 
-def _part1_rep(payload) -> tuple[int, Optional[list[bool]], Optional[np.ndarray]]:
+def _part1_rep(payload) -> tuple[Optional[list[bool]], Optional[np.ndarray]]:
     seed, rep, n_obs, states, alpha, coefs1, transition2 = payload
     rng = replication_rng(seed, rep)
     x = rng.normal(X_MEAN, X_SD, size=n_obs)
     s1 = simulate_nonhomog_chain(coefs1, x, n_obs, init_state=1, rng=rng)
     s2 = simulate_homog_chain(transition2, n_obs, init_state=1, rng=rng)
     hypotheses = [(0, 0.0), (1, 1.0), (0, 1.0), (1, 0.0)]
-    try:
-        rejected, estimates = _fit_and_test([s1, s2], x, alpha, hypotheses)
-    except (DataError, EstimationError, np.linalg.LinAlgError):
-        return rep, None, None
-    return rep, rejected, estimates
+    return _fit_and_test([s1, s2], x, alpha, hypotheses)
 
 
-def _part2_rep(payload) -> tuple[int, Optional[list[bool]], Optional[np.ndarray]]:
+def _part2_rep(payload) -> tuple[Optional[list[bool]], Optional[np.ndarray]]:
     seed, rep, n_obs, alpha, lam, generator = payload
     rng = replication_rng(seed, rep)
     x = rng.normal(X_MEAN, X_SD, size=n_obs)
@@ -329,11 +309,7 @@ def _part2_rep(payload) -> tuple[int, Optional[list[bool]], Optional[np.ndarray]
             series[t] = 2 if draws[t - 1, j] > mix[0] else 1
 
     hypotheses = [(0, float(lam[0])), (1, float(lam[1])), (0, 0.0), (1, 0.0)]
-    try:
-        rejected, estimates = _fit_and_test([s1, s2], x, alpha, hypotheses)
-    except (DataError, EstimationError, np.linalg.LinAlgError):
-        return rep, None, None
-    return rep, rejected, estimates
+    return _fit_and_test([s1, s2], x, alpha, hypotheses)
 
 
 def run_part1(config: SimConfig, n_jobs: int = 1) -> SimReport:
@@ -407,7 +383,7 @@ def run_part2(config: SimConfig, n_jobs: int = 1) -> SimReport:
             ],
         },
     )
-    estimates = np.array([e for _, r, e in outcomes if r is not None])
+    estimates = np.array([e for r, e in outcomes if r is not None])
     abs_errors = np.abs(estimates[:, 0] - lam[0])
     report.lambda_true = [float(v) for v in lam]
     report.lambda_mean = [float(v) for v in estimates.mean(axis=0)]
@@ -423,18 +399,17 @@ def run_study(config: SimConfig, n_jobs: int = 1) -> SimReport:
 
 
 def _map_replications(worker, payloads, n_jobs):
+    """Worker outcomes in payload order, serial or across processes."""
     if n_jobs <= 1:
-        results = [worker(p) for p in payloads]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # its imports cost 10-18 ms
-        chunk = max(1, len(payloads) // (4 * n_jobs))
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(worker, payloads, chunksize=chunk))
-    return sorted(results, key=lambda item: item[0])
+        return [worker(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor  # its imports cost 10-18 ms
+    chunk = max(1, len(payloads) // (4 * n_jobs))
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        return list(pool.map(worker, payloads, chunksize=chunk))
 
 
 def _aggregate(config, hypotheses, outcomes, power_idx, dimension_idx, generator):
-    flags = [r for _, r, _ in outcomes if r is not None]
+    flags = [r for r, _ in outcomes if r is not None]
     n_failed = config.n_reps - len(flags)
     if n_failed > MAX_FAILURE_SHARE * config.n_reps:
         raise EstimationError(

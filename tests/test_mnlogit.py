@@ -207,6 +207,10 @@ class TestFitMnlogit:
         with pytest.raises(DataError, match="at least 2"):
             fit_mnlogit(np.ones((30, 1)), np.ones(30, dtype=int))
 
+    def test_design_without_nonzero_column_rejected(self):
+        with pytest.raises(DataError, match="no nonzero column"):
+            fit_mnlogit(np.zeros((6, 1)), [1, 2, 1, 2, 1, 2])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_design_rejected(self, bad):
         design = np.column_stack([np.ones(30), np.linspace(-1.0, 1.0, 30)])

@@ -18,6 +18,12 @@ from markovmix.simulation import (
     study_rng,
 )
 
+BASE_KEYS = {
+    "scenario", "states", "n_obs", "n_reps", "seed", "alpha", "hypotheses",
+    "rejection_rates", "dimension", "power", "n_failed", "generator",
+}
+LAMBDA_KEYS = {"lambda_true", "lambda_mean", "lambda_mean_abs_error", "lambda_abs_errors"}
+
 
 class TestSimulateHomogChain:
     def test_identity_matrix_constant_chain(self):
@@ -80,6 +86,49 @@ class TestSimulateNonhomogChain:
     def test_covariate_too_short_rejected(self):
         with pytest.raises(ValueError, match="cannot drive"):
             simulate_nonhomog_chain(np.zeros((1, 3)), np.zeros(3), 10)
+
+
+class TestWalkIsPinned:
+    """The first 60 states for fixed seeds; they move if the walk's draw
+    order or indexing ever changes."""
+
+    def test_homog_two_states(self):
+        p = np.array([[0.7, 0.3], [0.4, 0.6]])
+        chain = simulate_homog_chain(p, 60, init_state=1, rng=np.random.default_rng(101))
+        assert chain.tolist() == [
+            1, 2, 1, 2, 2, 1, 2, 2, 1, 2, 1, 2, 2, 2, 1, 2, 2, 1, 1, 1,
+            1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 1, 1, 2, 2, 1, 1, 1, 2, 2,
+            1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 1, 1, 2, 1, 2,
+        ]
+
+    def test_homog_three_states(self):
+        p = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
+        chain = simulate_homog_chain(p, 60, init_state=2, rng=np.random.default_rng(102))
+        assert chain.tolist() == [
+            2, 2, 2, 3, 2, 2, 2, 3, 3, 3, 1, 1, 1, 2, 2, 3, 3, 3, 1, 2,
+            3, 3, 1, 2, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 2, 1, 1, 3, 2, 2,
+            2, 2, 2, 1, 1, 1, 1, 2, 3, 2, 2, 2, 2, 2, 3, 3, 2, 3, 2, 3,
+        ]
+
+    def test_nonhomog_two_states(self):
+        x = np.random.default_rng(7).normal(0.0, 2.0, size=60)
+        coefs = np.array([[-0.4, 0.9, 0.35]])
+        chain = simulate_nonhomog_chain(coefs, x, 60, init_state=1, rng=np.random.default_rng(103))
+        assert chain.tolist() == [
+            1, 1, 1, 1, 2, 2, 1, 1, 2, 2, 1, 1, 2, 2, 2, 1, 1, 1, 1, 2,
+            2, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 1,
+            2, 2, 2, 1, 1, 1, 2, 2, 2, 1, 1, 1, 2, 2, 2, 1, 2, 1, 2, 1,
+        ]
+
+    def test_nonhomog_three_states(self):
+        x = np.random.default_rng(7).normal(0.0, 2.0, size=60)
+        coefs = np.array([[0.2, 0.5, -0.3, 0.4], [-0.1, -0.2, 0.8, -0.25]])
+        chain = simulate_nonhomog_chain(coefs, x, 60, init_state=3, rng=np.random.default_rng(104))
+        assert chain.tolist() == [
+            3, 3, 3, 1, 1, 2, 3, 3, 2, 2, 3, 1, 2, 2, 3, 1, 2, 2, 1, 3,
+            3, 3, 2, 3, 1, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 1,
+            1, 1, 2, 1, 3, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 2, 2, 2, 1, 2,
+        ]
 
 
 class TestSimConfig:
@@ -149,20 +198,24 @@ class TestRunPart1:
         # seed 5368, replication 1 at n=100: chain 2 never leaves state 1
         gen = _draw_part1_generator(2, study_rng(5368))
         payload = (5368, 1, 100, 2, 0.05, gen["chain1_coefficients"], gen["chain2_transition"])
-        assert _part1_rep(payload) == (1, None, None)
+        assert _part1_rep(payload) == (None, None)
 
     def test_linear_algebra_error_is_a_counted_failure(self, monkeypatch):
-        fit_and_test = simulation._fit_and_test
+        estimate_gmmc = simulation.estimate_gmmc
 
-        def failing_once(panel_cols, x, alpha, hypotheses):
+        def failing_once(*args, **kwargs):
             if not hasattr(failing_once, "raised"):
                 failing_once.raised = True
                 raise np.linalg.LinAlgError("Singular matrix")
-            return fit_and_test(panel_cols, x, alpha, hypotheses)
+            return estimate_gmmc(*args, **kwargs)
 
-        monkeypatch.setattr(simulation, "_fit_and_test", failing_once)
+        monkeypatch.setattr(simulation, "estimate_gmmc", failing_once)
         cfg = SimConfig(n_obs=100, n_reps=25, states=2, scenario="part1", seed=7)
         assert run_part1(cfg).n_failed == 1
+
+    def test_report_has_the_base_keys_only(self):
+        cfg = SimConfig(n_obs=60, n_reps=3, states=2, scenario="part1", seed=2)
+        assert set(run_part1(cfg).to_dict()) == BASE_KEYS
 
     def test_scenario_mismatch_rejected(self):
         cfg = SimConfig(n_obs=60, n_reps=5, states=2, scenario="part1", seed=21)
@@ -192,6 +245,7 @@ class TestRunPart2:
         assert report.lambda_true == [0.8, 0.2]
         assert len(report.lambda_mean) == 2
         assert report.lambda_mean_abs_error >= 0.0
+        assert set(report.to_dict()) == BASE_KEYS | LAMBDA_KEYS
 
     def test_generator_ranges(self):
         # source-1 conditionals sweep a wide range, source-2 stay moderate
