@@ -3,7 +3,9 @@
 Per equation j, the next-state distribution of chain j mixes
 non-homogeneous conditionals P(S_j,t | S_k,t-1, x) across source chains
 k with weights on the probability simplex.  The conditionals are
-multinomial-logit fits, estimated first and treated as plug-ins; the
+multinomial-logit fits, estimated first and treated as plug-ins, and
+the conditional transition matrices evaluate them through mnlogit's one
+design layout and softmax, so they use the fit's own convention; the
 weights then maximize the mixture log-likelihood by an Augmented
 Lagrangian on the probability simplex, whose inner Newton steps use
 the analytic mixture Hessian.  Standard errors come from the analytic
@@ -20,16 +22,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._mixture import _hessian_std_errors, _is_flat, mixture_gradient, mixture_hessian, mixture_loglik
-from .data import CovariateMatrix, Panel, moving_average
+from .data import CovariateMatrix, Panel, _check_state, moving_average
 from .exceptions import DataError, EstimationError
 from .inference import FitReport, equation_report
-from .mnlogit import (
-    DesignSpec,
-    MnLogitModel,
-    build_design,
-    fit_mnlogit,
-    predict_probs,
-)
+from .mnlogit import DesignSpec, MnLogitModel, _lag_design, build_design, fit_mnlogit, predict_probs
 from .optim import maximize_auglag, project_simplex
 from .schemas import FIT_SCHEMA, check_structure
 
@@ -133,9 +129,9 @@ def estimate_gmmc(
     else:
         start = np.asarray(initial, dtype=float)
         if start.shape != (s,):
-            raise DataError(f"initial weights must have length {s}, got {start.shape}")
+            raise ValueError(f"initial weights must have length {s}, got {start.shape}")
         if not np.isfinite(start).all():
-            raise DataError("initial weights must be finite")
+            raise ValueError("initial weights must be finite")
         start = project_simplex(start)
 
     tensors, submodels, train_probs = build_prob_tensor(panel, covariates, x_lag=x_lag)
@@ -195,20 +191,11 @@ def estimate_gmmc(
     )
 
 
-def _submodel_distribution(
-    model: MnLogitModel, lag_state: int, x_value: np.ndarray
-) -> np.ndarray:
+def _submodel_distribution(model: MnLogitModel, lag_state: int, x_value: np.ndarray) -> np.ndarray:
     """Predicted next-state distribution for one lag state and covariate row."""
     m_k = model.spec.n_source_states
-    if not 1 <= lag_state <= m_k:
-        raise DataError(f"lag state {lag_state} outside 1..{m_k}")
-    row = np.zeros(model.spec.n_columns)
-    row[0] = 1.0
-    if lag_state >= 2:
-        row[lag_state - 1] = 1.0
-    if model.spec.n_covariates:
-        row[m_k:] = x_value
-    return predict_probs(model, row[None, :])[0]
+    _check_state(lag_state, m_k, "lag state")
+    return predict_probs(model, _lag_design([lag_state], x_value[None, :], m_k))[0]
 
 
 def conditional_distribution(

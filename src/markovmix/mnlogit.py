@@ -7,6 +7,10 @@ category.  Designs are built with an intercept, indicator columns for
 lag states 2..m_k, and the covariate row assigned to the predicted
 time step (covariate lag is caller-controlled, default 1).
 
+That layout is written once, in ``_lag_design``, and the softmax once,
+in ``_evaluate``: the fit, GMMC's conditional transition matrices and
+both Monte Carlo generators in ``simulation`` go through them.
+
 The likelihood works category-major, on the design as (p, n) and the
 logits as (m-1, n), so softmax reductions run along axis 0 and not
 along the short rows of an (n, m) array.
@@ -80,7 +84,7 @@ def build_design(
     alongside the lagged states.
     """
     if x_lag < 0:
-        raise DataError(f"x_lag must be >= 0, got {x_lag}")
+        raise ValueError(f"x_lag must be >= 0, got {x_lag}")
     n = panel.n_obs
     d = covariates.n_covariates if covariates is not None else 0
     if covariates is not None and covariates.n_obs != n:
@@ -93,22 +97,27 @@ def build_design(
     t_idx = np.arange(first, n)  # 0-based indices of the predicted observations
     if t_idx.size == 0:
         raise DataError(f"x_lag {x_lag} leaves no usable rows for a panel of length {n}")
-    lag_states = panel.states[t_idx - 1, from_chain]
-    response = panel.states[t_idx, to_chain]
-
-    cols = [np.ones(t_idx.size)]
-    names = ["intercept"]
-    for state in range(2, m_k + 1):
-        cols.append((lag_states == state).astype(float))
-        names.append(f"lag{from_chain}=={state}")
-    if covariates is not None:
-        cols.append(covariates.values[t_idx - x_lag, :])
-        names.extend(covariates.column_names)
-    design = np.column_stack(cols)
-    spec = DesignSpec(
-        n_source_states=m_k, n_covariates=d, x_lag=x_lag, column_names=names
+    design = _lag_design(
+        panel.states[t_idx - 1, from_chain],
+        None if covariates is None else covariates.values[t_idx - x_lag, :],
+        m_k,
     )
-    return design, response, spec
+    names = ["intercept", *(f"lag{from_chain}=={state}" for state in range(2, m_k + 1))]
+    if covariates is not None:
+        names.extend(covariates.column_names)
+    return design, panel.states[t_idx, to_chain], DesignSpec(m_k, d, x_lag, names)
+
+
+def _lag_design(lag_states, covariate_rows, n_source_states: int) -> np.ndarray:
+    """(n, p) design in the one logit layout: intercept, lag states 2..m_k, covariates.
+
+    Lag state 1 is the reference level; ``covariate_rows`` may be None.
+    """
+    lag_states = np.asarray(lag_states)
+    cols = [np.ones(lag_states.size), lag_states[:, None] == np.arange(2, n_source_states + 1)]
+    if covariate_rows is not None:
+        cols.append(covariate_rows)
+    return np.column_stack(cols)
 
 
 def mnlogit_loglik(coefficients: np.ndarray, design: np.ndarray, response: np.ndarray) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._mixture import _hessian_std_errors, _is_flat, mixture_gradient, mixture_hessian, mixture_loglik
 from .data import Panel, TransitionMatrix, count_transitions, empirical_distribution
-from .data import row_normalize, transition_matrix_grid, transition_patterns
+from .data import _check_state, row_normalize, transition_matrix_grid, transition_patterns
 from .exceptions import EstimationError
 from .inference import FitReport, equation_report
 from .optim import maximize_simplex
@@ -78,13 +78,12 @@ def mtd_predict(model: MtdModel, lagged_states) -> list[np.ndarray]:
     s = model.n_chains
     if lagged.shape != (s,):
         raise ValueError(f"need {s} lagged states, got shape {lagged.shape}")
-    out = []
-    for j in range(s):
-        dist = np.zeros(model.transmats[j][0].probs.shape[1])
-        for k in range(s):
-            dist += model.weights[j, k] * model.transmats[j][k].probs[lagged[k] - 1, :]
-        out.append(dist)
-    return out
+    for k in range(s):
+        _check_state(lagged[k], model.transmats[0][k].probs.shape[0], f"chain {k} lag state")
+    return [
+        sum(model.weights[j, k] * model.transmats[j][k].probs[lagged[k] - 1, :] for k in range(s))
+        for j in range(s)
+    ]
 
 
 def mtd_loglik(

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._mixture import _hessian_std_errors
-from .data import Panel, TransitionMatrix, transition_matrix_grid, transition_patterns
+from .data import Panel, TransitionMatrix, _check_state, transition_matrix_grid, transition_patterns
 from .inference import FitReport, equation_report
 from .optim import maximize_unconstrained, numeric_hessian
 
@@ -44,10 +44,14 @@ def probit_distribution(
     lagged_states: Sequence[int],
 ) -> np.ndarray:
     """Full next-state distribution for one conditioning pattern."""
-    plugin = np.stack(
-        [row.probs[lag - 1, :] for row, lag in zip(transmats[equation], lagged_states)]
-    )
-    return np.exp(_log_probs(np.asarray(etas, dtype=float), plugin[None])[1][0])
+    rows = transmats[equation]
+    if len(lagged_states) != len(rows):
+        raise ValueError(f"need {len(rows)} lagged states, got {len(lagged_states)}")
+    plugin = []
+    for k, (row, lag) in enumerate(zip(rows, lagged_states)):
+        _check_state(lag, row.probs.shape[0], f"chain {k} lag state")
+        plugin.append(row.probs[lag - 1, :])
+    return np.exp(_log_probs(np.asarray(etas, dtype=float), np.stack(plugin)[None])[1][0])
 
 
 def probit_prob(
@@ -55,6 +59,7 @@ def probit_prob(
 ) -> float:
     """P(next state of the equation's chain = target | lagged states)."""
     dist = probit_distribution(model.transmats, model.etas[equation], equation, lagged_states)
+    _check_state(target, len(dist), "target state")
     return float(dist[target - 1])
 
 

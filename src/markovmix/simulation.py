@@ -9,6 +9,10 @@ wide-range ("persistent") source-1 conditional and a moderate source-2
 conditional, then tests the weights against their assigned values and
 against zero.
 
+Both generators take their transition probabilities from mnlogit's
+design layout and softmax, the logit the estimator fits; Part II's
+binary (base, slope) pairs are converted to its reduced coefficients.
+
 Every study is reproducible: study-level draws (generating
 coefficients, the homogeneous transition matrix) come from a stream
 keyed by (seed, 0) and each replication r from (seed, 1, r), so serial
@@ -32,6 +36,7 @@ from .data import CovariateMatrix, Panel
 from .exceptions import DataError, EstimationError
 from .gmmc import estimate_gmmc
 from .inference import wald_test
+from .mnlogit import _evaluate, _lag_design
 
 # covariate distribution: mean 2, variance 25 (sd 5)
 X_MEAN = 2.0
@@ -159,18 +164,10 @@ def nonhomog_prob_table(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
     m = coefs.shape[0] + 1
     if coefs.shape[1] != m + 1:
         raise ValueError(f"coefficients must be (m-1, m+1); got {coefs.shape}")
-    base = np.zeros((m, m))
-    for c in range(2, m + 1):
-        base[0, c - 1] = coefs[c - 2, 0]
-        for i in range(2, m + 1):
-            base[i - 1, c - 1] = coefs[c - 2, 0] + coefs[c - 2, i - 1]
-    slopes = np.zeros(m)
-    slopes[1:] = coefs[:, m]
-    logits = base[None, :, :] + slopes[None, None, :] * np.asarray(x, dtype=float)[:, None, None]
-    logits -= logits.max(axis=2, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=2, keepdims=True)
-    return probs
+    x = np.asarray(x, dtype=float)
+    # one design row per (step, lag state), step-major, in mnlogit's layout
+    design = _lag_design(np.tile(np.arange(1, m + 1), len(x)), np.repeat(x, m)[:, None], m)
+    return _evaluate(coefs, design.T, 0.0)[1].T.reshape(len(x), m, m)
 
 
 def simulate_nonhomog_chain(
@@ -211,13 +208,11 @@ def _draw_part1_generator(states: int, rng: np.random.Generator) -> dict:
 def _reduce_logits(base: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     """Reference-code full (m, m) base logits + slopes to (m-1, m+1) coefficients."""
     m = base.shape[0]
-    coefs = np.zeros((m - 1, m + 1))
-    for c in range(2, m + 1):
-        intercept = base[0, c - 1] - base[0, 0]
-        coefs[c - 2, 0] = intercept
-        for i in range(2, m + 1):
-            coefs[c - 2, i - 1] = (base[i - 1, c - 1] - base[i - 1, 0]) - intercept
-        coefs[c - 2, m] = slopes[c - 1] - slopes[0]
+    logits = base[:, 1:] - base[:, :1]  # each lag state's logits against next state 1
+    coefs = np.empty((m - 1, m + 1))
+    coefs[:, 0] = logits[0]
+    coefs[:, 1:m] = (logits[1:] - logits[0]).T
+    coefs[:, m] = slopes[1:] - slopes[0]
     return coefs
 
 
@@ -246,12 +241,8 @@ def _draw_part2_generator(rng: np.random.Generator) -> dict:
 
 def _binary_prob_table(coef: dict, x: np.ndarray) -> np.ndarray:
     """(len(x), 2, 2) table of P(next | lag, x) for a binary logit pair."""
-    args = coef["base"][None, :] + coef["slope"] * np.asarray(x, dtype=float)[:, None]
-    p2 = 1.0 / (1.0 + np.exp(-args))
-    table = np.empty((len(x), 2, 2))
-    table[:, :, 1] = p2
-    table[:, :, 0] = 1.0 - p2
-    return table
+    base0, base1 = coef["base"]
+    return nonhomog_prob_table([[base0, base1 - base0, coef["slope"]]], x)
 
 
 def _fit_and_test(panel_cols, x, alpha, hypotheses):

@@ -117,6 +117,29 @@ class TestEstimateCommand:
         assert captured.out == ""
         assert not fit_path.exists()
 
+    @pytest.mark.parametrize(
+        "model, option, message",
+        [
+            ("gmmc", "--initial=1,1,1", "initial weights must have length 2"),
+            ("gmmc", "--initial=nan,1", "initial weights must be finite"),
+            ("gmmc", "--x-lag=-1", "x_lag must be >= 0, got -1"),
+            ("mtd-probit", "--initial=1,1", "initial values must have length 3"),
+            ("mtd-probit", "--initial=1,inf,1", "initial values must be finite"),
+        ],
+        ids=["gmmc-length", "gmmc-nonfinite", "gmmc-negative-lag",
+             "probit-length", "probit-nonfinite"],
+    )
+    def test_bad_start_or_lag_is_a_usage_error(
+        self, synthetic_files, capsys, model, option, message
+    ):
+        panel, cov = synthetic_files
+        argv = ["estimate", "--model", model, "--y", str(panel), option]
+        if model == "gmmc":
+            argv += ["--x", str(cov)]
+        rc = main(argv)
+        assert rc == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
 class TestTransmatCommand:
     def test_edge_list_rows_sum_to_one(self, synthetic_files, tmp_path, capsys):
         panel, cov = synthetic_files

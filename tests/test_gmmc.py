@@ -204,6 +204,12 @@ class TestConditionalTransitionMatrix:
         manual /= manual.sum()
         assert np.allclose(dist, manual, atol=1e-12)
 
+    @pytest.mark.parametrize("lagged, state", [([0, 1], 0), ([1, 3], 3)])
+    def test_lag_state_out_of_range(self, part1_style_fit, lagged, state):
+        _, _, fit = part1_style_fit
+        with pytest.raises(DataError, match=rf"lag state {state} outside 1\.\.2"):
+            conditional_distribution(fit, 0, lagged, 1.3)
+
     def test_label_mismatch_rejected(self):
         rng = np.random.default_rng(6)
         # chain 0 has 3 labels, chain 1 only 2: same-state conditioning fails

@@ -1,6 +1,7 @@
 """Multimatrix mixture model: prediction, likelihood, estimation."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from markovmix._mixture import mixture_gradient, mixture_hessian, mixture_loglik
 from markovmix.data import Panel, TransitionMatrix, encode_sequences, transition_matrix_grid
+from markovmix.exceptions import DataError
 from markovmix.mtd import (
     MtdModel,
     _pattern_prob_tensor,
@@ -93,6 +95,16 @@ class TestMtdPredict:
         for lagged in [(1, 1), (1, 2), (2, 1), (2, 2)]:
             for dist in mtd_predict(model, lagged):
                 assert dist.sum() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("lagged, message", [
+        ((0, 1), "chain 0 lag state 0 outside 1..2"),
+        ((1, 3), "chain 1 lag state 3 outside 1..2"),
+    ], ids=["lag-0", "lag-m+1"])
+    def test_lag_state_out_of_range(self, lagged, message):
+        # a state 0 must not read row -1, the last state's row
+        model = _model_from([[0.6, 0.4], [0.5, 0.5]], self.transmats)
+        with pytest.raises(DataError, match=re.escape(message)):
+            mtd_predict(model, lagged)
 
 
 class TestMtdLoglik:

@@ -8,6 +8,7 @@ import pytest
 import scipy.optimize
 
 from markovmix.data import Panel, TransitionMatrix, encode_sequences, transition_matrix_grid
+from markovmix.exceptions import DataError
 from markovmix.inference import norm_cdf
 from markovmix.optim import GRAD_TOL, MAX_INNER_ITER, numeric_gradient
 from markovmix.probit import (
@@ -105,6 +106,24 @@ class TestProbitProb:
         full = probit_distribution(self.transmats, model.etas[0], 0, (1, 1))
         assert probit_prob(model, 0, (1, 1), 1) == pytest.approx(full[0], abs=1e-15)
         assert probit_prob(model, 0, (1, 1), 2) == pytest.approx(full[1], abs=1e-15)
+        # a target 0 must not read index -1, P(state m)
+        for target in (0, 3):
+            with pytest.raises(DataError, match=re.escape(f"target state {target} outside 1..2")):
+                probit_prob(model, 0, (1, 1), target)
+
+    @pytest.mark.parametrize("lagged, message", [
+        ((0, 1), "chain 0 lag state 0 outside 1..2"),
+        ((1, 3), "chain 1 lag state 3 outside 1..2"),
+    ], ids=["lag-0", "lag-m+1"])
+    def test_lag_state_out_of_range(self, lagged, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            probit_distribution(self.transmats, np.zeros(3), 0, lagged)
+
+    @pytest.mark.parametrize("lagged", [(1,), (1, 2, 2)])
+    def test_wrong_number_of_lag_states(self, lagged):
+        # zip alone would drop the extra state or ignore the missing chain
+        with pytest.raises(ValueError, match=f"need 2 lagged states, got {len(lagged)}"):
+            probit_distribution(self.transmats, np.zeros(3), 0, lagged)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(4)

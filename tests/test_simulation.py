@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from markovmix import simulation
+from markovmix.data import CovariateMatrix, Panel
+from markovmix.mnlogit import _mnlogit_hessian, build_design, fit_mnlogit
 from markovmix.simulation import (
     SimConfig,
     _draw_part1_generator,
@@ -129,6 +131,35 @@ class TestWalkIsPinned:
             3, 3, 2, 3, 1, 3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 1,
             1, 1, 2, 1, 3, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 2, 2, 2, 1, 2,
         ]
+
+    def test_part2_study(self):
+        # Part II walks its two mixed chains itself, from _binary_prob_table
+        report = run_part2(SimConfig(n_obs=120, n_reps=6, scenario="part2",
+                                     lambda_true=(0.8, 0.2), seed=3))
+        assert report.rejection_rates == [0.0, 0.0, 0.0, 0.0]
+        assert report.lambda_abs_errors == [
+            0.14834772857028333, 0.726767340297623, 0.7739501556149501,
+            0.19999999999999996, 0.4141677234803383, 0.6025001174447597,
+        ]
+
+
+class TestGeneratorMatchesEstimator:
+    def test_fit_recovers_generating_coefficients(self):
+        """The simulator and mnlogit share one logit convention: fitting
+        build_design on a simulated chain returns the generating
+        coefficients within 4 standard errors each.  A covariate lag of 0
+        or swapped lag indicators miss by 12 or more."""
+        rng = np.random.default_rng(8)
+        n = 20_000
+        coefs = np.array([[0.4, 0.9, -0.3, 0.25], [-0.2, -0.5, 1.1, -0.15]])
+        x = rng.normal(2.0, 5.0, size=n)
+        chain = simulate_nonhomog_chain(coefs, x, n, init_state=1, rng=rng)
+        panel = Panel(states=chain[:, None], alphabet_sizes=(3,))
+        design, response, spec = build_design(panel, 0, 0, CovariateMatrix(x[:, None], ["x"]))
+        fit = fit_mnlogit(design, response, n_states=3, spec=spec)
+        std_errors = np.sqrt(np.diag(np.linalg.inv(-_mnlogit_hessian(fit.coefficients, design))))
+        z = (fit.coefficients - coefs).ravel() / std_errors
+        assert np.abs(z).max() < 4.0
 
 
 class TestSimConfig:
