@@ -10,6 +10,12 @@ A row is a time step, or, with ``counts``, a distinct (lagged states,
 next state) pattern that occurs ``counts[t]`` times: the MTD likelihood
 depends on the data only through these counts.  Without ``counts``
 every row counts once.
+
+Tensors are stored column-major: the builders stack one contiguous
+column per source, so ``q.T`` is a C-order (s, rows) array.  The
+Hessian then scales along contiguous rows of ``q.T`` and is one general
+matrix product of two distinct operands, which BLAS runs several times
+faster than the symmetric rank-k update numpy chooses for ``x.T @ x``.
 """
 
 from __future__ import annotations
@@ -42,9 +48,16 @@ def mixture_hessian(
 ) -> np.ndarray:
     """Hessian of the mixture log-likelihood: -sum_t counts_t q_t q_t' / (w.q_t)^2."""
     mix = q @ weights
-    # sqrt(counts) on both factors keeps the product exactly symmetric
-    scaled = q / (mix if counts is None else mix / np.sqrt(counts))[:, None]
-    return -(scaled.T @ scaled)
+    # two divisions, not one by mix * mix, which underflows to 0 (and a
+    # zero entry of q to 0/0) once mix is below about 1e-162; in place,
+    # since a second (s, rows) temporary costs more than the product
+    left = q.T / mix
+    if counts is None:
+        left /= mix
+    else:
+        left *= counts / mix
+    hess = np.dot(left, q)  # np.dot: less call overhead than @ on small tensors
+    return -0.5 * (hess + hess.T)  # the product's two triangles round apart
 
 
 def _is_flat(q: np.ndarray, weights: np.ndarray, counts: Optional[np.ndarray] = None) -> bool:
@@ -60,6 +73,10 @@ def _is_flat(q: np.ndarray, weights: np.ndarray, counts: Optional[np.ndarray] = 
 
 def _hessian_std_errors(hess: np.ndarray) -> Optional[np.ndarray]:
     """sqrt(diag(-H^{-1})), or None when the Hessian is singular."""
+    # rank-deficient at numpy's tolerance counts as singular, so that the
+    # verdict does not hinge on the Hessian's last bits
+    if np.linalg.matrix_rank(hess) < hess.shape[0]:
+        return None
     try:
         cov = np.linalg.inv(-hess)
     except np.linalg.LinAlgError:

@@ -94,6 +94,8 @@ def _check_state(state, n_states: int, what: str) -> None:
     """DataError unless ``state`` is one of the 1-based states 1..n_states."""
     if not 1 <= state <= n_states:
         raise DataError(f"{what} {state} outside 1..{n_states}")
+    if not float(state).is_integer():
+        raise DataError(f"{what} {state} is not an integer")
 
 
 @dataclass

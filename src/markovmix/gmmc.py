@@ -94,7 +94,7 @@ def build_prob_tensor(
             q_cols.append(probs[np.arange(len(response)), response - 1])
             row_models.append(model)
             row_probs.append(probs)
-        tensors.append(np.column_stack(q_cols))
+        tensors.append(np.array(q_cols).T)
         submodels.append(row_models)
         train_probs.append(row_probs)
     return tensors, submodels, train_probs

@@ -53,7 +53,7 @@ def realized_prob_tensor(panel: Panel, transmats: list[list[TransitionMatrix]], 
     for k in range(s):
         src = panel.states[:-1, k] - 1
         cols.append(transmats[equation][k].probs[src, dst])
-    return np.column_stack(cols)
+    return np.array(cols).T
 
 
 def _pattern_prob_tensor(
@@ -66,20 +66,21 @@ def _pattern_prob_tensor(
     """
     patterns, counts = transition_patterns(panel, equation)
     dst = patterns[:, -1] - 1
-    q = np.column_stack(
+    q = np.array(
         [transmats[equation][k].probs[patterns[:, k] - 1, dst] for k in range(panel.n_chains)]
-    )
+    ).T
     return q, counts.astype(float)
 
 
 def mtd_predict(model: MtdModel, lagged_states) -> list[np.ndarray]:
     """Next-state distribution per equation given every chain's lagged state."""
-    lagged = np.asarray(lagged_states, dtype=int)
+    lagged = np.asarray(lagged_states)
     s = model.n_chains
     if lagged.shape != (s,):
         raise ValueError(f"need {s} lagged states, got shape {lagged.shape}")
     for k in range(s):
         _check_state(lagged[k], model.transmats[0][k].probs.shape[0], f"chain {k} lag state")
+    lagged = lagged.astype(int)
     return [
         sum(model.weights[j, k] * model.transmats[j][k].probs[lagged[k] - 1, :] for k in range(s))
         for j in range(s)

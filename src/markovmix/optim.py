@@ -249,6 +249,14 @@ def maximize_simplex(
             direction = limit * newton
             hit = ratios <= limit
             direction[hit] = -x[hit]
+            # the largest free, unhit coordinate absorbs the rounding that
+            # the solve and the clipping leave in sum(step) = 0, so a step
+            # onto a vertex lands on it exactly, not by rounding luck
+            room = np.flatnonzero(free & ~hit)
+            if room.size:
+                top = room[direction[room].argmax()]
+                direction[top] = 0.0
+                direction[top] = -direction.sum()
         step, neg_fx, ok = _armijo_descent(lambda z: -f(z), x, -fx, -g, direction)
         if not ok or np.array_equal(x + step * direction, x):
             break

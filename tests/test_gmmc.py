@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from markovmix import gmmc
 from markovmix.data import CovariateMatrix, Panel, encode_sequences
 from markovmix.exceptions import DataError, EstimationError
 from markovmix.gmmc import (
@@ -158,6 +159,28 @@ class TestEstimateGmmc:
         fit = estimate_gmmc(panel, cov)
         assert any("flat" in w for w in fit.fit_report.equations[0].warnings)
 
+    def test_nearly_equal_sources_have_singular_hessian(self, monkeypatch):
+        # sources agreeing to 1e-8 identify only their summed weight; the
+        # verdict must not hinge on the Hessian's last bits, which used to
+        # give standard errors of about 1e6 here
+        build = gmmc.build_prob_tensor
+
+        def nearly_equal_sources(*args, **kwargs):
+            tensors, submodels, train_probs = build(*args, **kwargs)
+            noise = np.random.default_rng(1).uniform(-1.0, 1.0, size=len(tensors[0]))
+            for q in tensors:
+                q[:, 1] = q[:, 0] * (1.0 + 1e-8 * noise)
+            return tensors, submodels, train_probs
+
+        monkeypatch.setattr(gmmc, "build_prob_tensor", nearly_equal_sources)
+        rng = np.random.default_rng(8)
+        tm = np.array([[0.6, 0.4], [0.35, 0.65]])
+        panel = Panel(np.column_stack([simulate_homog_chain(tm, 300, rng=rng),
+                                       simulate_homog_chain(tm, 300, rng=rng)]), (2, 2))
+        fit = estimate_gmmc(panel, CovariateMatrix(rng.normal(size=300), ["x"]))
+        for eq in fit.fit_report.equations:
+            assert "Hessian is singular; standard errors unavailable" in eq.warnings
+
     def test_initial_projected_from_all_ones(self, part1_style_fit):
         panel, cov, fit = part1_style_fit
         fit_ones = estimate_gmmc(panel, cov, initial=[1.0, 1.0], x_lag=1)
@@ -209,6 +232,12 @@ class TestConditionalTransitionMatrix:
         _, _, fit = part1_style_fit
         with pytest.raises(DataError, match=rf"lag state {state} outside 1\.\.2"):
             conditional_distribution(fit, 0, lagged, 1.3)
+
+    def test_non_integer_lag_state(self, part1_style_fit):
+        # the design's indicators would read 1.5 as the reference state 1
+        _, _, fit = part1_style_fit
+        with pytest.raises(DataError, match=r"lag state 1\.5 is not an integer"):
+            conditional_distribution(fit, 0, [1.5, 1], 1.3)
 
     def test_label_mismatch_rejected(self):
         rng = np.random.default_rng(6)

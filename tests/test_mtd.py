@@ -106,6 +106,12 @@ class TestMtdPredict:
         with pytest.raises(DataError, match=re.escape(message)):
             mtd_predict(model, lagged)
 
+    def test_non_integer_lag_state(self):
+        # a cast to int would read 1.5 as state 1
+        model = _model_from([[0.6, 0.4], [0.5, 0.5]], self.transmats)
+        with pytest.raises(DataError, match=re.escape("chain 0 lag state 1.5 is not an integer")):
+            mtd_predict(model, [1.5, 1])
+
 
 class TestMtdLoglik:
     def test_all_half_probabilities(self):

@@ -434,6 +434,19 @@ class TestMaximizeSimplex:
         assert np.array_equal(res.argmax, [0.0, 0.0, 1.0])
         assert _kkt_residual(res, True) <= KKT_TOL * 300
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_vertex_reached_exactly_under_perturbed_hessian(self, k):
+        # the last bits of the Hessian move every Newton step; the step
+        # onto the vertex must still land on it exactly
+        rng = np.random.default_rng(13)
+        q = rng.uniform(0.2, 0.6, size=(300, 3))
+        q[:, 2] = q[:, :2].max(axis=1) + rng.uniform(0.01, 0.2, size=300)
+        f, grad, hess = _mixture_problem(q)
+        scale = 1.0 + k * 2.0**-52
+        res = maximize_simplex(f, [1.0, 0.0, 0.0], grad, lambda w: hess(w) * scale, n_obs=300)
+        assert res.converged
+        assert np.array_equal(res.argmax, [0.0, 0.0, 1.0])
+
     def test_non_finite_start_rejected(self):
         q = np.array([[0.0, 0.5], [0.4, 0.6]])
         f, grad, hess = _mixture_problem(q)

@@ -119,6 +119,10 @@ class TestProbitProb:
         with pytest.raises(DataError, match=re.escape(message)):
             probit_distribution(self.transmats, np.zeros(3), 0, lagged)
 
+    def test_non_integer_lag_state(self):
+        with pytest.raises(DataError, match=re.escape("chain 0 lag state 1.5 is not an integer")):
+            probit_distribution(self.transmats, np.zeros(3), 0, (1.5, 1))
+
     @pytest.mark.parametrize("lagged", [(1,), (1, 2, 2)])
     def test_wrong_number_of_lag_states(self, lagged):
         # zip alone would drop the extra state or ignore the missing chain

@@ -138,8 +138,8 @@ class TestWalkIsPinned:
                                      lambda_true=(0.8, 0.2), seed=3))
         assert report.rejection_rates == [0.0, 0.0, 0.0, 0.0]
         assert report.lambda_abs_errors == [
-            0.14834772857028333, 0.726767340297623, 0.7739501556149501,
-            0.19999999999999996, 0.4141677234803383, 0.6025001174447597,
+            0.14834772857026823, 0.7267673402976134, 0.7739501552745434,
+            0.19999999999999996, 0.4141677234496085, 0.6025001174040695,
         ]
 
 
