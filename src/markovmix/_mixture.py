@@ -24,6 +24,9 @@ from typing import Optional
 
 import numpy as np
 
+from .inference import EquationReport, equation_report
+from .optim import OptimResult
+
 
 def mixture_loglik(
     weights: np.ndarray, q: np.ndarray, counts: Optional[np.ndarray] = None
@@ -85,3 +88,31 @@ def _hessian_std_errors(hess: np.ndarray) -> Optional[np.ndarray]:
     if not np.isfinite(diag).all() or (diag < 0).any():
         return None
     return np.sqrt(diag)
+
+
+def _weight_report(
+    weights: np.ndarray, result: OptimResult, q: np.ndarray, counts: Optional[np.ndarray] = None
+) -> tuple[EquationReport, np.ndarray, bool]:
+    """Report one equation's solved weights: (report, Hessian, flat flag).
+
+    The Hessian and the standard errors are taken at ``weights``; the
+    report's log-likelihood is ``result.value``.
+    """
+    hess = mixture_hessian(weights, q, counts)
+    std_errors = _hessian_std_errors(hess)
+    flat = _is_flat(q, weights, counts)
+    warnings = []
+    if not result.converged:
+        warnings.append(f"weight optimization did not converge: {result.message}")
+    if (weights < 1e-8).any():
+        warnings.append(
+            "estimate sits on the simplex boundary; Wald columns are reported "
+            "but their asymptotics are unreliable there"
+        )
+    if flat:
+        warnings.append("log-likelihood is nearly flat in the weights; any simplex "
+                        "point fits equally well")
+    if std_errors is None:
+        warnings.append("Hessian is singular; standard errors unavailable")
+        std_errors = np.full(weights.size, np.nan)
+    return equation_report(weights, std_errors, result.value, warnings=warnings), hess, flat

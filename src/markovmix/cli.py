@@ -44,7 +44,6 @@ _MODEL_OPTIONS = {
     "--x-lag": ("gmmc",),
     "--save-fit": ("gmmc",),
     "--initial": ("gmmc", "mtd-probit"),
-    "--constrained": ("mtd",),
 }
 
 
@@ -83,12 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--x", default=None, help="covariate CSV (header required)")
     est.add_argument("--x-lag", type=int, default=None, help="covariate lag (default 1)")
     est.add_argument("--initial", default=None, help="comma-separated initial values")
-    est.add_argument(
-        "--constrained",
-        default=None,
-        choices=["true", "false"],
-        help="mtd: keep weights non-negative (true, the default) or only sum-to-one (false)",
-    )
     est.add_argument("--out-json", default=None, help="write the report as JSON here")
     est.add_argument("--save-fit", default=None, help="gmmc: serialize the fit here")
     est.set_defaults(func=_cmd_estimate)
@@ -159,7 +152,7 @@ def _cmd_estimate(args) -> int:
         if args.save_fit:
             save_fit(fit, args.save_fit)
     elif args.model == "mtd":
-        model = estimate_mtd(panel, is_constrained=args.constrained != "false")
+        model = estimate_mtd(panel)
         report = model.fit_report
         converged = all(model.converged)
     else:  # mtd-probit

@@ -302,11 +302,11 @@ def discretize_quantiles(
     Quantiles use linear interpolation of order statistics (numpy's
     default, the "type 7" convention), which pins down boundary cases.
     """
+    if not 0 < lower_q < upper_q < 1:  # option values, not a property of the series
+        raise ValueError(f"need 0 < lower_q < upper_q < 1, got ({lower_q}, {upper_q})")
     series = np.asarray(series, dtype=float)
     if series.ndim != 1 or len(series) < 4:
         raise DataError("series must be 1-D with at least 4 observations")
-    if not 0 < lower_q < upper_q < 1:
-        raise DataError(f"need 0 < lower_q < upper_q < 1, got ({lower_q}, {upper_q})")
     if not np.isfinite(series).all():
         raise DataError("series contains non-finite entries")
     q_low, q_high = np.quantile(series, [lower_q, upper_q], method="linear")

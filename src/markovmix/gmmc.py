@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._mixture import _hessian_std_errors, _is_flat, mixture_gradient, mixture_hessian, mixture_loglik
+from ._mixture import _weight_report, mixture_gradient, mixture_hessian, mixture_loglik
 from .data import CovariateMatrix, Panel, _check_state, moving_average
 from .exceptions import DataError, EstimationError
 from .inference import FitReport, equation_report
@@ -155,25 +155,9 @@ def estimate_gmmc(
         weights[j] = lam
         logliks[j] = mixture_loglik(lam, q)
         converged.append(result.converged)
-
-        hess = gmmc_hessian(lam, q)
+        report, hess, _ = _weight_report(lam, result, q)
         hessians.append(hess)
-        std_errors = _hessian_std_errors(hess)
-        warnings = []
-        if not result.converged:
-            warnings.append(f"weight optimization did not converge: {result.message}")
-        if (lam < 1e-8).any():
-            warnings.append(
-                "estimate sits on the simplex boundary; Wald columns are reported "
-                "but their asymptotics are unreliable there"
-            )
-        if _is_flat(q, lam):
-            warnings.append("log-likelihood is nearly flat in the weights; any simplex "
-                            "point fits equally well")
-        if std_errors is None:
-            warnings.append("Hessian is singular; standard errors unavailable")
-            std_errors = np.full(s, np.nan)
-        equations.append(equation_report(lam, std_errors, result.value, warnings=warnings))
+        equations.append(report)
 
     return GmmcFit(
         weights=weights,

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._mixture import _hessian_std_errors, _is_flat, mixture_gradient, mixture_hessian, mixture_loglik
+from ._mixture import _weight_report, mixture_gradient, mixture_hessian, mixture_loglik
 from .data import Panel, TransitionMatrix, count_transitions, empirical_distribution
 from .data import _check_state, row_normalize, transition_matrix_grid, transition_patterns
 from .exceptions import EstimationError
-from .inference import FitReport, equation_report
+from .inference import FitReport
 from .optim import maximize_simplex
 
 
@@ -33,7 +33,6 @@ class MtdModel:
     transmats: list[list[TransitionMatrix]]  # [j][k]
     logliks: np.ndarray
     fit_report: FitReport
-    constrained: bool
     converged: list[bool] = field(default_factory=list)
     flat_likelihood: list[bool] = field(default_factory=list)
 
@@ -109,14 +108,14 @@ def mtd_hessian(panel: Panel, model: MtdModel) -> list[np.ndarray]:
     ]
 
 
-def estimate_mtd(panel: Panel, is_constrained: bool = True) -> MtdModel:
+def estimate_mtd(panel: Panel) -> MtdModel:
     """Estimate mixture weights per equation by maximum likelihood.
 
     The log-likelihood, scored on the distinct transition patterns with
     their counts, is concave in the weights, so one active-set Newton
     solve on the simplex (``optim.maximize_simplex``) from the uniform
-    weights finds its maximum; unconstrained mode drops w >= 0 and keeps
-    sum(w) = 1.  ``converged`` holds each solve's KKT certificate.
+    weights finds its maximum.  ``converged`` holds each solve's KKT
+    certificate.
     """
     s = panel.n_chains
     transmats = transition_matrix_grid(panel)
@@ -129,31 +128,17 @@ def estimate_mtd(panel: Panel, is_constrained: bool = True) -> MtdModel:
             lambda w: mixture_gradient(w, q, counts),
             lambda w: mixture_hessian(w, q, counts),
             n_obs=counts.sum(),
-            nonnegative=is_constrained,
         )
-        w = result.argmax
+        report, _, flat = _weight_report(result.argmax, result, q, counts)
         results.append(result)
-        flat_flags.append(_is_flat(q, w, counts))
-
-        std_errors = _hessian_std_errors(mixture_hessian(w, q, counts))
-        warnings = []
-        if not result.converged:
-            warnings.append(f"weight optimization did not converge: {result.message}")
-        if flat_flags[-1]:
-            warnings.append("log-likelihood is flat in the weights; any simplex point is optimal")
-        if not is_constrained and ((w < 0).any() or (w > 1).any()):
-            warnings.append("unconstrained weights fall outside [0, 1]")
-        if std_errors is None:
-            warnings.append("Hessian is singular; standard errors unavailable")
-            std_errors = np.full(s, np.nan)
-        equations.append(equation_report(w, std_errors, result.value, warnings=warnings))
+        flat_flags.append(flat)
+        equations.append(report)
 
     return MtdModel(
         weights=np.array([r.argmax for r in results]),
         transmats=transmats,
         logliks=np.array([r.value for r in results]),
         fit_report=FitReport(equations),
-        constrained=is_constrained,
         converged=[r.converged for r in results],
         flat_likelihood=flat_flags,
     )

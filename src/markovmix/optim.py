@@ -198,7 +198,6 @@ def maximize_simplex(
     gradient: Callable[[np.ndarray], np.ndarray],
     hessian: Callable[[np.ndarray], np.ndarray],
     n_obs: float,
-    nonnegative: bool = True,
 ) -> OptimResult:
     """Maximize a concave f over the simplex by active-set Newton steps.
 
@@ -207,9 +206,9 @@ def maximize_simplex(
     sources make it singular, stops at the first bound it reaches and
     backtracks (Armijo).  Once the free coordinates are stationary, the
     most-violated bound is released (Bertsekas 1982, SIAM J. Control
-    Optim. 20(2)).  ``nonnegative=False`` drops the bounds.  Converged
-    means the KKT residual and the squared Newton decrement are both at
-    most ``KKT_TOL * n_obs``; ``gradient`` is the gradient at ``argmax``.
+    Optim. 20(2)).  Converged means the KKT residual and the squared
+    Newton decrement are both at most ``KKT_TOL * n_obs``; ``gradient``
+    is the gradient at ``argmax``.
     """
     x = np.asarray(start, dtype=float).copy()
     fx = f(x)
@@ -219,7 +218,7 @@ def maximize_simplex(
     message = "line search stalled"
     for iterations in range(MAX_SIMPLEX_ITER + 1):
         g = gradient(x)
-        free = x > 0 if nonnegative else np.ones(x.size, dtype=bool)
+        free = x > 0
         excess = g - g[free].mean()
         free_residual = np.max(np.abs(excess[free]))
         bound_excess = np.where(free, -np.inf, excess)
@@ -234,29 +233,28 @@ def maximize_simplex(
         kkt[-1, -1] = 0.0
         newton = np.zeros(x.size)
         newton[idx] = np.linalg.lstsq(kkt, np.append(-g[idx], 0.0), rcond=None)[0][:-1]
-        # the decrement stays large where f grows without bound, while
-        # the gradient there decays below any tolerance
+        # the squared Newton decrement is the gain a full step would
+        # make; where the curvature is far smaller than the gradient, a
+        # small residual alone does not put f near its maximum
         converged = bool(max(free_residual, bound_excess.max()) <= tol and g @ newton <= tol)
         if converged or iterations == MAX_SIMPLEX_ITER:
             message = "KKT residual below tolerance" if converged else "iteration cap reached"
             break
         # the longest step up to the Newton step that keeps w >= 0; the
         # coordinates it stops at land on zero exactly
-        direction = newton
-        if nonnegative:
-            ratios = np.divide(x, -newton, out=np.full(x.size, np.inf), where=newton < 0)
-            limit = min(1.0, ratios.min())
-            direction = limit * newton
-            hit = ratios <= limit
-            direction[hit] = -x[hit]
-            # the largest free, unhit coordinate absorbs the rounding that
-            # the solve and the clipping leave in sum(step) = 0, so a step
-            # onto a vertex lands on it exactly, not by rounding luck
-            room = np.flatnonzero(free & ~hit)
-            if room.size:
-                top = room[direction[room].argmax()]
-                direction[top] = 0.0
-                direction[top] = -direction.sum()
+        ratios = np.divide(x, -newton, out=np.full(x.size, np.inf), where=newton < 0)
+        limit = min(1.0, ratios.min())
+        direction = limit * newton
+        hit = ratios <= limit
+        direction[hit] = -x[hit]
+        # the largest free, unhit coordinate absorbs the rounding that
+        # the solve and the clipping leave in sum(step) = 0, so a step
+        # onto a vertex lands on it exactly, not by rounding luck
+        room = np.flatnonzero(free & ~hit)
+        if room.size:
+            top = room[direction[room].argmax()]
+            direction[top] = 0.0
+            direction[top] = -direction.sum()
         step, neg_fx, ok = _armijo_descent(lambda z: -f(z), x, -fx, -g, direction)
         if not ok or np.array_equal(x + step * direction, x):
             break

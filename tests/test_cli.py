@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markovmix import optim
 from markovmix.cli import main
 from markovmix.simulation import simulate_homog_chain, simulate_nonhomog_chain
 
@@ -62,7 +63,7 @@ class TestEstimateCommand:
     def test_mtd_mirrors_reference_call(self, synthetic_files, capsys):
         panel, _ = synthetic_files
         rc = main([
-            "estimate", "--model", "mtd", "--y", str(panel), "--constrained", "true",
+            "estimate", "--model", "mtd", "--y", str(panel),
         ])
         assert rc == 0
         assert "$`Equation 1`" in capsys.readouterr().out
@@ -97,9 +98,8 @@ class TestEstimateCommand:
             ("mtd-probit", "--x-lag", "2", "gmmc"),
             ("mtd", "--save-fit", "{fit}", "gmmc"),
             ("mtd", "--initial", "5,-4", "gmmc or mtd-probit"),
-            ("gmmc", "--constrained", "false", "mtd"),
         ],
-        ids=["x", "x-lag", "save-fit", "initial", "constrained"],
+        ids=["x", "x-lag", "save-fit", "initial"],
     )
     def test_option_of_another_model_is_a_usage_error(
         self, synthetic_files, tmp_path, capsys, model, option, value, models
@@ -108,8 +108,6 @@ class TestEstimateCommand:
         fit_path = tmp_path / "fit.json"
         argv = ["estimate", "--model", model, "--y", str(panel),
                 option, value.format(cov=cov, fit=fit_path)]
-        if model == "gmmc":
-            argv += ["--x", str(cov)]
         rc = main(argv)
         captured = capsys.readouterr()
         assert rc == EXIT_USAGE
@@ -290,7 +288,16 @@ class TestDiscretizeCommand:
         src.write_text("v\n" + "\n".join(values) + "\n")
         rc = main(["discretize", "--input", str(src), "--column", "v"])
         assert rc == EXIT_DATA
+        assert "coincide" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lower, upper", [("0.9", "0.1"), ("0", "0.5"), ("0.5", "1")])
+    def test_bad_quantile_options_are_a_usage_error(self, tmp_path, capsys, lower, upper):
+        src = tmp_path / "series.csv"
+        src.write_text("v\n" + "\n".join(str(v) for v in range(1, 21)) + "\n")
+        rc = main(["discretize", "--input", str(src), "--column", "v",
+                   "--lower-q", lower, "--upper-q", upper])
+        assert rc == EXIT_USAGE
+        assert "need 0 < lower_q < upper_q < 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("column", ["-5", "1"])
     def test_out_of_range_column_is_a_data_error(self, tmp_path, capsys, column):
@@ -308,24 +315,24 @@ class TestExitCodes:
         assert rc == EXIT_DATA
         assert "exist" in err or "error" in err
 
-    def test_unbounded_unconstrained_mtd_exits_1(self, tmp_path):
-        # chain 1 repeats chain 2's previous state, so without w >= 0 the
-        # likelihood of equation 1 grows without bound; a subprocess with
-        # a timeout, because this fit once never returned
-        rng = np.random.default_rng(77)
-        source = simulate_homog_chain(np.array([[0.7, 0.3], [0.4, 0.6]]), 201, rng=rng)
-        panel = tmp_path / "copy.csv"
-        panel.write_text("".join(f"{a},{b}\n" for a, b in zip([1, *source[:-1]], source)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "markovmix.cli", "estimate", "--model", "mtd",
-             "--y", str(panel), "--constrained", "false"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 1
-        assert "did not converge" in proc.stderr
-        assert "weight optimization did not converge" in proc.stdout
+    def test_non_converged_mtd_exits_1(self, synthetic_files, monkeypatch, capsys):
+        # no Newton step allowed: the weight solve stops at the uniform start
+        monkeypatch.setattr(optim, "MAX_SIMPLEX_ITER", 0)
+        panel, _ = synthetic_files
+        rc = main(["estimate", "--model", "mtd", "--y", str(panel)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error: estimation did not converge" in captured.err
+        assert "weight optimization did not converge: iteration cap reached" in captured.out
+
+    def test_removed_constrained_option_is_a_usage_error(self, synthetic_files, capsys):
+        panel, _ = synthetic_files
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--model", "mtd", "--y", str(panel), "--constrained", "true"])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --constrained true" in err
+        assert "Traceback" not in err
 
     def test_overflowing_first_stage_names_its_stage(self, synthetic_files, tmp_path, capsys):
         panel, _ = synthetic_files

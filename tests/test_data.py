@@ -212,6 +212,13 @@ class TestDiscretizeQuantiles:
         with pytest.raises(DataError, match="coincide"):
             discretize_quantiles(np.array([1.0, 1.0, 1.0, 1.0, 1.0, 9.9]))
 
+    @pytest.mark.parametrize("lower_q, upper_q", [(0.9, 0.1), (0.0, 0.5), (0.5, 1.0)])
+    def test_bad_quantiles_are_not_a_data_error(self, lower_q, upper_q):
+        # the quantiles are the caller's arguments, not a property of the series
+        with pytest.raises(ValueError, match="need 0 < lower_q < upper_q < 1") as exc:
+            discretize_quantiles(np.arange(1.0, 9.0), lower_q=lower_q, upper_q=upper_q)
+        assert not isinstance(exc.value, DataError)
+
     def test_large_sample_frequencies(self):
         rng = np.random.default_rng(42)
         states = discretize_quantiles(rng.normal(size=100_000))

@@ -360,29 +360,27 @@ def _mtd_tensors(seed):
     return [_pattern_prob_tensor(panel, transmats, j) for j in (0, 2)]
 
 
-def _kkt_residual(res, nonnegative):
+def _kkt_residual(res):
     """The KKT residual of maximize_simplex, recomputed from its result."""
     g = res.gradient
-    free = res.argmax > 0 if nonnegative else np.ones(g.size, dtype=bool)
+    free = res.argmax > 0
     excess = g - g[free].mean()
     return max(np.max(np.abs(excess[free])), np.max(excess[~free], initial=0.0))
 
 
 class TestMaximizeSimplex:
-    @pytest.mark.parametrize("nonnegative", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_agrees_with_slsqp_oracle(self, seed, nonnegative):
+    def test_agrees_with_slsqp_oracle(self, seed):
         for q, counts in _mtd_tensors(seed):
             f, grad, hess = _mixture_problem(q, counts)
             start = np.full(3, 1.0 / 3.0)
-            res = maximize_simplex(f, start, grad, hess, n_obs=counts.sum(),
-                                   nonnegative=nonnegative)
+            res = maximize_simplex(f, start, grad, hess, n_obs=counts.sum())
             oracle = scipy.optimize.minimize(
                 lambda w: -f(w) if np.isfinite(f(w)) else 1e300,
                 start,
                 jac=lambda w: -grad(w),
                 method="SLSQP",
-                bounds=[(0.0, 1.0)] * 3 if nonnegative else None,
+                bounds=[(0.0, 1.0)] * 3,
                 constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0,
                               "jac": lambda w: np.ones(3)}],
                 options={"ftol": 1e-14, "maxiter": 500},
@@ -392,30 +390,24 @@ class TestMaximizeSimplex:
             assert res.value == f(res.argmax)
             assert res.value >= f(oracle.x) - 1e-10 * abs(res.value)
             assert res.argmax.sum() == pytest.approx(1.0, abs=1e-12)
-            if nonnegative:
-                assert res.argmax.min() >= 0.0
+            assert res.argmax.min() >= 0.0
 
-    @pytest.mark.parametrize("nonnegative", [True, False])
-    def test_certificate_holds_at_the_returned_gradient(self, nonnegative):
+    def test_certificate_holds_at_the_returned_gradient(self):
         for q, counts in _mtd_tensors(3):
             f, grad, hess = _mixture_problem(q, counts)
-            res = maximize_simplex(f, np.full(3, 1.0 / 3.0), grad, hess,
-                                   n_obs=counts.sum(), nonnegative=nonnegative)
+            res = maximize_simplex(f, np.full(3, 1.0 / 3.0), grad, hess, n_obs=counts.sum())
             assert res.converged
             assert np.array_equal(res.gradient, grad(res.argmax))
-            assert _kkt_residual(res, nonnegative) <= KKT_TOL * counts.sum()
+            assert _kkt_residual(res) <= KKT_TOL * counts.sum()
 
-    @pytest.mark.parametrize("nonnegative", [True, False])
-    def test_duplicated_source_column(self, nonnegative):
+    def test_duplicated_source_column(self):
         # identical columns 1 and 2 make the Hessian, and the KKT system,
         # singular; only their summed weight is identified
         q, counts = _mtd_tensors(4)[0]
         f, grad, hess = _mixture_problem(q, counts)
-        single = maximize_simplex(f, np.full(3, 1.0 / 3.0), grad, hess,
-                                  n_obs=counts.sum(), nonnegative=nonnegative)
+        single = maximize_simplex(f, np.full(3, 1.0 / 3.0), grad, hess, n_obs=counts.sum())
         f, grad, hess = _mixture_problem(q[:, [0, 1, 1, 2]], counts)
-        dup = maximize_simplex(f, np.full(4, 0.25), grad, hess,
-                               n_obs=counts.sum(), nonnegative=nonnegative)
+        dup = maximize_simplex(f, np.full(4, 0.25), grad, hess, n_obs=counts.sum())
         assert single.converged and dup.converged
         merged = np.array([dup.argmax[0], dup.argmax[1] + dup.argmax[2], dup.argmax[3]])
         assert np.max(np.abs(merged - single.argmax)) <= 1e-8
@@ -432,7 +424,7 @@ class TestMaximizeSimplex:
         res = maximize_simplex(f, [1.0, 0.0, 0.0], grad, hess, n_obs=300)
         assert res.converged
         assert np.array_equal(res.argmax, [0.0, 0.0, 1.0])
-        assert _kkt_residual(res, True) <= KKT_TOL * 300
+        assert _kkt_residual(res) <= KKT_TOL * 300
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_vertex_reached_exactly_under_perturbed_hessian(self, k):
