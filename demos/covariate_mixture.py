@@ -50,7 +50,7 @@ print("edge list at x = 0 (source, destination, probability):")
 for edge in transition_edge_list(fit, 0, 0.0):
     print("  ", edge)
 
-smoothed = smoothed_conditional_probs(fit, 0, 0, window=5)
+smoothed = smoothed_conditional_probs(fit, panel, covariates, 0, 0, window=5)
 print("\nsmoothed own-lag probability paths (first 5 rows):")
 print(np.round(smoothed[:5], 3))
 
@@ -60,5 +60,7 @@ with tempfile.TemporaryDirectory() as tmp:
     reloaded = load_fit(fit_path)
     print(f"\nfit serialized to {fit_path} (the transmat CLI command reads it);")
     print("reloaded matrix at x = 0 matches:",
-          np.allclose(conditional_transition_matrix(reloaded, 0, 0.0),
-                      conditional_transition_matrix(fit, 0, 0.0)))
+          np.array_equal(conditional_transition_matrix(reloaded, 0, 0.0),
+                         conditional_transition_matrix(fit, 0, 0.0)))
+    print("reloaded smoothed paths match:",
+          np.array_equal(smoothed_conditional_probs(reloaded, panel, covariates, 0, 0), smoothed))

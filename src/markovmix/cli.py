@@ -14,10 +14,12 @@ import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
 from .data import (
+    _check_quantiles,
     _column_index,
     _numeric,
     _read_table,
@@ -225,19 +227,16 @@ def _cmd_transmat(args) -> int:
     header = ["source_state", "dest_state", "probability"]
     if not single:
         header = ["equation", *header]
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout)
+    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
     return EXIT_OK
 
 
 def _cmd_discretize(args) -> int:
+    _check_quantiles(args.lower_q, args.upper_q)
     header, columns = _read_table(args.input, not args.no_header)
     column = _column_index(args.column, header, len(columns), args.input)
     series = _numeric(args.input, columns, [column])[:, 0]

@@ -216,8 +216,7 @@ def count_transitions(panel: Panel, from_chain: int, to_chain: int) -> Frequency
     m_to = panel.alphabet_sizes[to_chain]
     src = panel.states[:-1, from_chain] - 1
     dst = panel.states[1:, to_chain] - 1
-    counts = np.zeros((m_from, m_to), dtype=int)
-    np.add.at(counts, (src, dst), 1)
+    counts = np.bincount(src * m_to + dst, minlength=m_from * m_to).reshape(m_from, m_to)
     return FrequencyMatrix(counts=counts, from_chain=from_chain, to_chain=to_chain)
 
 
@@ -302,8 +301,7 @@ def discretize_quantiles(
     Quantiles use linear interpolation of order statistics (numpy's
     default, the "type 7" convention), which pins down boundary cases.
     """
-    if not 0 < lower_q < upper_q < 1:  # option values, not a property of the series
-        raise ValueError(f"need 0 < lower_q < upper_q < 1, got ({lower_q}, {upper_q})")
+    _check_quantiles(lower_q, upper_q)
     series = np.asarray(series, dtype=float)
     if series.ndim != 1 or len(series) < 4:
         raise DataError("series must be 1-D with at least 4 observations")
@@ -319,6 +317,12 @@ def discretize_quantiles(
     states[series <= q_low] = 1
     states[series >= q_high] = 3
     return states
+
+
+def _check_quantiles(lower_q: float, upper_q: float) -> None:
+    """ValueError unless 0 < lower_q < upper_q < 1: option values, not a property of the series."""
+    if not 0 < lower_q < upper_q < 1:
+        raise ValueError(f"need 0 < lower_q < upper_q < 1, got ({lower_q}, {upper_q})")
 
 
 def moving_average(series: Sequence[float], window: int = 5) -> np.ndarray:

@@ -3,14 +3,15 @@
 Per equation j, the next-state distribution of chain j mixes
 non-homogeneous conditionals P(S_j,t | S_k,t-1, x) across source chains
 k with weights on the probability simplex.  The conditionals are
-multinomial-logit fits, estimated first and treated as plug-ins, and
-the conditional transition matrices evaluate them through mnlogit's one
-design layout and softmax, so they use the fit's own convention; the
-weights then maximize the mixture log-likelihood by an Augmented
-Lagrangian on the probability simplex, whose inner Newton steps use
-the analytic mixture Hessian.  Standard errors come from the analytic
-Hessian in the weights at the optimum (first-stage uncertainty is not
-propagated, a documented understatement).
+multinomial-logit fits, estimated first and treated as plug-ins.  A fit
+holds only what ``save_fit`` stores: the training tensors, smoothed
+paths and transition matrices all evaluate a submodel's ``predict_probs``
+on mnlogit's one design layout, so a loaded fit predicts as its fresh
+fit does.  The weights then maximize the mixture log-likelihood by an
+Augmented Lagrangian on the probability simplex, whose inner Newton
+steps use the analytic mixture Hessian.  Standard errors come from the
+analytic Hessian in the weights at the optimum (first-stage uncertainty
+is not propagated, a documented understatement).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._mixture import _weight_report, mixture_gradient, mixture_hessian, mixture_loglik
-from .data import CovariateMatrix, Panel, _check_state, moving_average
+from .data import CovariateMatrix, Panel, _check_chain, _check_state, moving_average
 from .exceptions import DataError, EstimationError
 from .inference import FitReport, equation_report
 from .mnlogit import DesignSpec, MnLogitModel, _lag_design, build_design, fit_mnlogit, predict_probs
@@ -47,10 +48,6 @@ class GmmcFit:
     x_lag: int
     covariate_names: list[str]
     converged: list[bool] = field(default_factory=list)
-    # training-row conditional probabilities, kept for smoothed paths:
-    # train_probs[j][k] has shape (rows, m_j)
-    train_probs: Optional[list[list[np.ndarray]]] = None
-    prob_tensors: Optional[list[np.ndarray]] = None
 
     @property
     def n_chains(self) -> int:
@@ -61,25 +58,22 @@ def build_prob_tensor(
     panel: Panel,
     covariates: CovariateMatrix,
     x_lag: int = 1,
-) -> tuple[list[np.ndarray], list[list[MnLogitModel]], list[list[np.ndarray]]]:
+) -> tuple[list[np.ndarray], list[list[MnLogitModel]]]:
     """Fit the per-(equation, source) logits and evaluate realized probabilities.
 
     Returns, per equation j: a (rows, s) tensor whose [t, k] entry is
     the fitted probability of the realized state of chain j at step t
-    conditional on chain k's lagged state and the covariate row; the
-    fitted submodels; and the full predicted distributions at the
-    training rows (rows, m_j) for each source chain.
+    conditional on chain k's lagged state and the covariate row; and the
+    fitted submodels.
     """
     s = panel.n_chains
     # a design depends only on its source chain k; k -> k also gives equation k's response
     designs = [build_design(panel, k, k, covariates, x_lag) for k in range(s)]
     tensors: list[np.ndarray] = []
     submodels: list[list[MnLogitModel]] = []
-    train_probs: list[list[np.ndarray]] = []
     for j in range(s):
         response = designs[j][1]
         row_models: list[MnLogitModel] = []
-        row_probs: list[np.ndarray] = []
         q_cols = []
         for k, (design, _, spec) in enumerate(designs):
             try:
@@ -93,11 +87,9 @@ def build_prob_tensor(
             probs = predict_probs(model, design)
             q_cols.append(probs[np.arange(len(response)), response - 1])
             row_models.append(model)
-            row_probs.append(probs)
         tensors.append(np.array(q_cols).T)
         submodels.append(row_models)
-        train_probs.append(row_probs)
-    return tensors, submodels, train_probs
+    return tensors, submodels
 
 
 def gmmc_loglik(weights: Sequence[float], tensor: np.ndarray) -> float:
@@ -134,7 +126,7 @@ def estimate_gmmc(
             raise ValueError("initial weights must be finite")
         start = project_simplex(start)
 
-    tensors, submodels, train_probs = build_prob_tensor(panel, covariates, x_lag=x_lag)
+    tensors, submodels = build_prob_tensor(panel, covariates, x_lag=x_lag)
 
     weights = np.empty((s, s))
     logliks = np.empty(s)
@@ -170,16 +162,7 @@ def estimate_gmmc(
         x_lag=x_lag,
         covariate_names=list(covariates.column_names),
         converged=converged,
-        train_probs=train_probs,
-        prob_tensors=tensors,
     )
-
-
-def _submodel_distribution(model: MnLogitModel, lag_state: int, x_value: np.ndarray) -> np.ndarray:
-    """Predicted next-state distribution for one lag state and covariate row."""
-    m_k = model.spec.n_source_states
-    _check_state(lag_state, m_k, "lag state")
-    return predict_probs(model, _lag_design([lag_state], x_value[None, :], m_k))[0]
 
 
 def conditional_distribution(
@@ -190,15 +173,9 @@ def conditional_distribution(
     lagged = list(lagged_states)
     if len(lagged) != fit.n_chains:
         raise DataError(f"need {fit.n_chains} lagged states, got {len(lagged)}")
-    m_j = fit.alphabet_sizes[equation]
-    dist = np.zeros(m_j)
-    for k in range(fit.n_chains):
-        dist += fit.weights[equation, k] * _submodel_distribution(
-            fit.submodels[equation][k], lagged[k], x_value
-        )
-    # each component sums to 1, so the mixture sums to the weight total,
-    # which can sit a constraint-tolerance away from 1; renormalize
-    return dist / dist.sum()
+    for state, model in zip(lagged, fit.submodels[equation]):
+        _check_state(state, model.spec.n_source_states, "lag state")
+    return _mixture_rows(fit, equation, [lagged], x_value)[0]
 
 
 def conditional_transition_matrix(fit: GmmcFit, equation: int, x_value) -> np.ndarray:
@@ -211,21 +188,30 @@ def conditional_transition_matrix(fit: GmmcFit, equation: int, x_value) -> np.nd
     value.
     """
     x_value = _check_x(fit, x_value)
-    labels_j = fit.labels[equation]
-    m_j = fit.alphabet_sizes[equation]
-    matrix = np.empty((m_j, m_j))
-    for i, label in enumerate(labels_j):
-        lagged = []
+    lag_rows = []
+    for label in fit.labels[equation]:
+        row = []
         for k in range(fit.n_chains):
             try:
-                lagged.append(fit.labels[k].index(label) + 1)
+                row.append(fit.labels[k].index(label) + 1)
             except ValueError:
                 raise DataError(
                     f"source label {label!r} of equation {equation} does not occur "
                     f"in chain {k}; same-state conditioning needs a shared alphabet"
                 ) from None
-        matrix[i] = conditional_distribution(fit, equation, lagged, x_value)
-    return matrix
+        lag_rows.append(row)
+    return _mixture_rows(fit, equation, lag_rows, x_value)
+
+
+def _mixture_rows(fit: GmmcFit, equation: int, lag_rows, x_value: np.ndarray) -> np.ndarray:
+    """Mixture next-state rows at per-chain lagged states: one design per submodel."""
+    lag_rows = np.asarray(lag_rows)
+    x_rows = np.broadcast_to(x_value, (len(lag_rows), len(x_value)))
+    return sum(
+        fit.weights[equation, k]
+        * predict_probs(model, _lag_design(lag_rows[:, k], x_rows, model.spec.n_source_states))
+        for k, model in enumerate(fit.submodels[equation])
+    )
 
 
 def transition_edge_list(fit: GmmcFit, equation: int, x_value) -> list[tuple]:
@@ -240,19 +226,25 @@ def transition_edge_list(fit: GmmcFit, equation: int, x_value) -> list[tuple]:
 
 
 def smoothed_conditional_probs(
-    fit: GmmcFit, equation: int, source_chain: int, window: int = 5
+    fit: GmmcFit, panel: Panel, covariates: CovariateMatrix, equation: int,
+    source_chain: int, window: int = 5,
 ) -> np.ndarray:
     """Moving-average-smoothed fitted probability paths, one column per state.
 
-    Smooths the training-row conditionals P(S_j,t = c | S_k,t-1, x) with
-    a trailing window; output has rows - window + 1 time points.
+    Smooths one submodel's P(S_j,t = c | S_k,t-1, x) on the rows of
+    ``panel`` and ``covariates`` (the training data give the fitted paths)
+    with a trailing window; output has rows - window + 1 time points.
     """
-    if fit.train_probs is None:
-        raise EstimationError(
-            "this fit does not retain training probabilities (it was loaded "
-            "from serialized form); refit to compute smoothed paths"
+    d = len(fit.covariate_names)
+    if panel.alphabet_sizes != fit.alphabet_sizes or covariates.n_covariates != d:
+        raise DataError(
+            f"alphabet sizes {panel.alphabet_sizes} and {covariates.n_covariates} covariate(s) "
+            f"do not match the fit's {fit.alphabet_sizes} and {d}"
         )
-    paths = fit.train_probs[equation][source_chain]
+    _check_chain(panel, equation)
+    _check_chain(panel, source_chain)
+    design = build_design(panel, source_chain, equation, covariates, fit.x_lag)[0]
+    paths = predict_probs(fit.submodels[equation][source_chain], design)
     return np.column_stack(
         [moving_average(paths[:, c], window=window) for c in range(paths.shape[1])]
     )
@@ -296,7 +288,12 @@ def save_fit(fit: GmmcFit, path) -> None:
 
 
 def load_fit(path) -> GmmcFit:
-    """Rebuild a GmmcFit from its JSON serialization."""
+    """Rebuild a GmmcFit from its JSON serialization.
+
+    The sizes of the fields must agree, the weight rows must lie on the
+    simplex and the coefficients must be finite; a file that breaks any
+    of this is a DataError naming the field.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -309,52 +306,89 @@ def load_fit(path) -> GmmcFit:
         raise DataError(f"{path}: unsupported fit version {doc.get('version')!r}")
     check_structure(doc, FIT_SCHEMA, str(path))
 
-    x_lag = int(doc["x_lag"])
-    submodels = [
-        [
-            MnLogitModel(
-                coefficients=np.array(entry["coefficients"], dtype=float),
-                n_states=int(entry["n_states"]),
-                spec=DesignSpec(
-                    n_source_states=int(entry["n_source_states"]),
-                    n_covariates=int(entry["n_covariates"]),
-                    x_lag=x_lag,
-                    column_names=list(entry["column_names"]),
-                ),
-                loglik=float(entry["loglik"]),
-                converged=bool(entry["converged"]),
-                iterations=0,
-                separation=bool(entry["separation"]),
+    s, sizes, d = doc["n_chains"], doc["alphabet_sizes"], len(doc["covariate_names"])
+    for name in ("alphabet_sizes", "labels", "submodels"):
+        _check_length(doc[name], s, path, f"document.{name}")
+    for j, labels in enumerate(doc["labels"]):
+        _check_length(labels, sizes[j], path, f"document.labels[{j}]")
+    weights = _float_array(doc["weights"], (s, s), path, "document.weights", finite=True)
+    if (weights < 0).any() or (np.abs(weights.sum(axis=1) - 1.0) > 1e-9).any():
+        raise DataError(f"{path}: field document.weights has a row off the probability simplex")
+    x_lag = doc["x_lag"]
+    submodels = []
+    for j, row in enumerate(doc["submodels"]):
+        _check_length(row, s, path, f"document.submodels[{j}]")
+        submodels.append([])
+        for k, entry in enumerate(row):
+            field_name = f"document.submodels[{j}][{k}]"
+            for key, expected in (
+                ("n_states", sizes[j]), ("n_source_states", sizes[k]), ("n_covariates", d)
+            ):
+                if entry[key] != expected:
+                    raise DataError(
+                        f"{path}: field {field_name}.{key} is {entry[key]}; expected {expected}"
+                    )
+            coefficients = _float_array(
+                entry["coefficients"], (sizes[j] - 1, sizes[k] + d), path,
+                f"{field_name}.coefficients", finite=True,
             )
-            for entry in row
-        ]
-        for row in doc["submodels"]
-    ]
+            submodels[j].append(MnLogitModel(
+                coefficients=coefficients,
+                n_states=sizes[j],
+                spec=DesignSpec(sizes[k], d, x_lag, list(entry["column_names"])),
+                loglik=float(_float_array(entry["loglik"], (), path, f"{field_name}.loglik")),
+                converged=entry["converged"],
+                iterations=0,
+                separation=entry["separation"],
+            ))
+    equations, name = doc["report"]["equations"], "document.report.equations"
+    _check_length(equations, s, path, name)
     report = FitReport(
         [
             equation_report(
-                np.array(eq["estimates"], dtype=float),
-                np.array(
-                    [np.nan if v is None else v for v in eq["std_errors"]], dtype=float
+                _float_array(eq["estimates"], (s,), path, f"{name}[{j}].estimates"),
+                _float_array(
+                    [np.nan if v is None else v for v in eq["std_errors"]], (s,), path,
+                    f"{name}[{j}].std_errors",
                 ),
-                float(eq["loglik"]),
+                float(_float_array(eq["loglik"], (), path, f"{name}[{j}].loglik")),
                 warnings=list(eq["warnings"]),
             )
-            for eq in doc["report"]["equations"]
+            for j, eq in enumerate(equations)
         ]
     )
     return GmmcFit(
-        weights=np.array(doc["weights"], dtype=float),
+        weights=weights,
         submodels=submodels,
-        logliks=np.array(doc["logliks"], dtype=float),
-        hessians=[np.array(h, dtype=float) for h in doc["hessians"]],
+        logliks=_float_array(doc["logliks"], (s,), path, "document.logliks"),
+        hessians=list(_float_array(doc["hessians"], (s, s, s), path, "document.hessians")),
         fit_report=report,
-        alphabet_sizes=tuple(int(m) for m in doc["alphabet_sizes"]),
+        alphabet_sizes=tuple(sizes),
         labels=[list(lab) for lab in doc["labels"]],
         x_lag=x_lag,
         covariate_names=list(doc["covariate_names"]),
         converged=[bool(c) for c in doc["converged"]],
     )
+
+
+def _check_length(items: list, n: int, path, field_name: str) -> None:
+    if len(items) != n:
+        raise DataError(f"{path}: field {field_name} has {len(items)} entries; expected {n}")
+
+
+def _float_array(value, shape: tuple, path, field_name: str, finite: bool = False) -> np.ndarray:
+    """A fit-file field as a float array of ``shape``; DataError naming the field if not."""
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or past float range
+        raise DataError(
+            f"{path}: field {field_name} is not a numeric array of shape {shape}"
+        ) from None
+    if array.shape != shape:
+        raise DataError(f"{path}: field {field_name} has shape {array.shape}; expected {shape}")
+    if finite and not np.isfinite(array).all():
+        raise DataError(f"{path}: field {field_name} has non-finite entries")
+    return array
 
 
 def _json_label(value):

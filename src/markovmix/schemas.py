@@ -127,14 +127,16 @@ _JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
 def check_structure(doc, schema: dict, source: str, field: str = "document") -> None:
     """Raise DataError naming the first missing or ill-typed field of doc.
 
-    Checks the structural keywords only: type, required, properties and
-    items.
+    Checks the structural keywords type, required, properties and items,
+    and minimum.
     """
     types = schema.get("type", [])
     types = [types] if isinstance(types, str) else types
     if types and (not isinstance(doc, tuple(_JSON_TYPES[t] for t in types))
                   or isinstance(doc, bool) and "boolean" not in types):
         raise DataError(f"{source}: field {field} must be {' or '.join(types)}")
+    if "minimum" in schema and doc < schema["minimum"]:
+        raise DataError(f"{source}: field {field} must be >= {schema['minimum']}")
     for name in schema.get("required", []):
         if name not in doc:
             raise DataError(f"{source}: field {field}.{name} is missing")

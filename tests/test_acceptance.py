@@ -111,7 +111,7 @@ class TestCriterion1OracleEquivalence:
                 assert lib_mtd[j] == pytest.approx(oracle, rel=1e-10)
 
             # gmmc likelihood on its fitted probability tensor
-            tensors, _, _ = build_prob_tensor(panel, cov, x_lag=1)
+            tensors, _ = build_prob_tensor(panel, cov, x_lag=1)
             for j in range(s):
                 lam = rng.dirichlet(np.ones(s))
                 lib = gmmc_loglik(lam, tensors[j])

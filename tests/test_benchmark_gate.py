@@ -87,7 +87,7 @@ def test_gmmc_weight_solve_stays_off_the_inner_cap(workloads, monkeypatch):
     # absolute inner gtol; such a solve used to run to MAX_INNER_ITER
     states, x = workloads.generate.gmmc_inputs(workloads.INPUT_SEED)
     panel = Panel(states, (3, 3, 3))
-    tensors, _, _ = build_prob_tensor(panel, CovariateMatrix(x.reshape(-1, 1), ["x"]))
+    tensors, _ = build_prob_tensor(panel, CovariateMatrix(x.reshape(-1, 1), ["x"]))
     inner = []
     solve = optim.maximize_unconstrained
 

@@ -205,8 +205,42 @@ class TestTransmatCommand:
              "document.submodels[1][0].n_states must be integer"),
             (lambda doc: doc["report"]["equations"][0].update(loglik=None),
              "document.report.equations[0].loglik must be number"),
+            (lambda doc: doc["submodels"][1].pop(), "document.submodels[1] has 1 entries"),
+            (lambda doc: doc["submodels"][0][1]["coefficients"].append([0.5]),
+             "document.submodels[0][1].coefficients is not a numeric array of shape (1, 3)"),
+            (lambda doc: doc["submodels"][1][0].update(coefficients=[[0.5, 0.5]]),
+             "document.submodels[1][0].coefficients has shape (1, 2); expected (1, 3)"),
+            (lambda doc: doc["submodels"][0][0]["coefficients"][0].__setitem__(2, float("nan")),
+             "document.submodels[0][0].coefficients has non-finite entries"),
+            (lambda doc: doc["submodels"][0][1].update(n_states=3),
+             "document.submodels[0][1].n_states is 3; expected 2"),
+            (lambda doc: doc["submodels"][1][0].update(n_source_states=3),
+             "document.submodels[1][0].n_source_states is 3; expected 2"),
+            (lambda doc: doc["submodels"][1][1].update(n_covariates=2),
+             "document.submodels[1][1].n_covariates is 2; expected 1"),
+            (lambda doc: doc["weights"][0].pop(),
+             "document.weights is not a numeric array of shape (2, 2)"),
+            (lambda doc: doc["weights"].__setitem__(1, [1.5, -0.5]),
+             "document.weights has a row off the probability simplex"),
+            (lambda doc: doc["weights"].__setitem__(0, [0.6, 0.6]),
+             "document.weights has a row off the probability simplex"),
+            (lambda doc: doc["weights"][0].__setitem__(0, float("nan")),
+             "document.weights has non-finite entries"),
+            (lambda doc: doc.update(alphabet_sizes=[2, 3]), "document.labels[1] has 2 entries"),
+            (lambda doc: doc.update(alphabet_sizes=[2, 2, 2]),
+             "document.alphabet_sizes has 3 entries; expected 2"),
+            (lambda doc: doc.update(n_chains=3),
+             "document.alphabet_sizes has 2 entries; expected 3"),
+            (lambda doc: doc.update(x_lag=-1), "document.x_lag must be >= 0"),
+            (lambda doc: doc["submodels"][0][0].update(loglik=10**400),
+             "document.submodels[0][0].loglik is not a numeric array of shape ()"),
         ],
-        ids=["missing", "ill-typed", "nested-missing", "nested-ill-typed", "null-number"],
+        ids=["missing", "ill-typed", "nested-missing", "nested-ill-typed", "null-number",
+             "short-submodels-row", "ragged-coefficients", "coefficient-shape",
+             "nan-coefficient", "n-states", "n-source-states", "n-covariates",
+             "short-weights-row", "negative-weight", "weights-off-one", "nan-weight",
+             "alphabet-size", "alphabet-count", "n-chains", "negative-x-lag",
+             "loglik-past-float-range"],
     )
     def test_malformed_fit_names_the_field(self, saved_fit_text, tmp_path, capsys, edit, field):
         doc = json.loads(saved_fit_text)
@@ -215,7 +249,8 @@ class TestTransmatCommand:
         fit_path.write_text(json.dumps(doc))
         rc = main(["transmat", "--fit", str(fit_path), "--x", "1.0"])
         assert rc == EXIT_DATA
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
 
 class TestSimulateCommand:
@@ -296,6 +331,12 @@ class TestDiscretizeCommand:
         src.write_text("v\n" + "\n".join(str(v) for v in range(1, 21)) + "\n")
         rc = main(["discretize", "--input", str(src), "--column", "v",
                    "--lower-q", lower, "--upper-q", upper])
+        assert rc == EXIT_USAGE
+        assert "need 0 < lower_q < upper_q < 1" in capsys.readouterr().err
+
+    def test_quantile_options_are_checked_before_the_input(self, tmp_path, capsys):
+        rc = main(["discretize", "--input", str(tmp_path / "nope.csv"),
+                   "--lower-q", "0.9", "--upper-q", "0.1"])
         assert rc == EXIT_USAGE
         assert "need 0 < lower_q < upper_q < 1" in capsys.readouterr().err
 
@@ -439,9 +480,42 @@ def _covariate_csv(draw):
     return header + "\n" + "".join(",".join(row) + "\n" for row in zip(*columns))
 
 
+@st.composite
+def _damaged_fit(draw, text):
+    """The saved fit ``text`` with one to three damages below its top level: a key
+    or entry dropped, a list cut short or grown, a value swapped for another type,
+    NaN or a negative number."""
+    doc = json.loads(text)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        for _ in range(draw(st.integers(1, 4))):
+            if not isinstance(node, (dict, list)) or not node:
+                break
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            key = draw(st.sampled_from(keys))
+            parent, node = node, node[key]
+        damage = draw(st.sampled_from(
+            ["drop", "type", "nan", "negative"] + (["resize"] if isinstance(node, list) else [])
+        ))
+        if damage == "drop":
+            del parent[key]
+        elif damage == "resize":
+            if node and draw(st.booleans()):
+                del node[draw(st.integers(0, len(node) - 1)):]
+            else:
+                node.append(node[-1] if node else 1)
+        elif damage == "type":
+            parent[key] = draw(st.sampled_from(["x", 2, 0.5, None, True, [], {}, [[1.0]]]))
+        elif damage == "nan":
+            parent[key] = float("nan")
+        else:
+            parent[key] = draw(st.sampled_from([-1, -0.5, -1e300]))
+    return json.dumps(doc)
+
+
 class TestInputFuzz:
-    """Ragged rows, empty and non-numeric cells, blank lines and extreme or
-    non-finite covariates never escape main."""
+    """Ragged rows, empty and non-numeric cells, blank lines, extreme or
+    non-finite covariates and damaged fit files never escape main."""
 
     @pytest.fixture(scope="class")
     def fuzz_path(self, tmp_path_factory):
@@ -476,6 +550,25 @@ class TestInputFuzz:
         fuzz_path.write_text(text, encoding="utf-8")
         argv = ["discretize", "--input", str(fuzz_path), "--column", column]
         assert self._run(argv + ([] if header else ["--no-header"])) in {0, 1, 2, 3}
+
+    @pytest.fixture(scope="class")
+    def fuzz_fit_text(self, synthetic_files, tmp_path_factory):
+        panel, cov = synthetic_files
+        fit_path = tmp_path_factory.mktemp("fuzz-fit") / "fit.json"
+        argv = ["estimate", "--model", "gmmc", "--y", str(panel), "--x", str(cov),
+                "--save-fit", str(fit_path)]
+        assert self._run(argv) == 0
+        return fit_path.read_text()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_transmat_fit_file(self, fuzz_path, fuzz_fit_text, data):
+        fuzz_path.write_text(data.draw(_damaged_fit(fuzz_fit_text)), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["transmat", "--fit", str(fuzz_path), "--x", "1.0"])
+        assert rc in {0, 1, 2, 3}
+        assert "Traceback" not in err.getvalue()
 
     @settings(max_examples=30, deadline=None)
     @given(text=_covariate_csv())

@@ -79,6 +79,19 @@ class TestCountTransitions:
             for j in range(2):
                 assert count_transitions(panel, k, j).counts.sum() == 49
 
+    def test_matches_loop_count(self):
+        rng = np.random.default_rng(1)
+        panel = encode_sequences([rng.integers(1, 4, size=80).tolist(),
+                                  rng.integers(1, 3, size=80).tolist()])
+        for k in range(2):
+            for j in range(2):
+                expected = np.zeros((panel.alphabet_sizes[k], panel.alphabet_sizes[j]), dtype=int)
+                for t in range(1, panel.n_obs):
+                    expected[panel.states[t - 1, k] - 1, panel.states[t, j] - 1] += 1
+                counts = count_transitions(panel, k, j).counts
+                assert counts.dtype == expected.dtype
+                assert np.array_equal(counts, expected)
+
 
 class TestRowNormalize:
     def test_basic(self):

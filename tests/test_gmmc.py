@@ -8,6 +8,7 @@ import pytest
 from markovmix import gmmc
 from markovmix.data import CovariateMatrix, Panel, encode_sequences
 from markovmix.exceptions import DataError, EstimationError
+from markovmix.cli import main
 from markovmix.gmmc import (
     build_prob_tensor,
     conditional_distribution,
@@ -20,6 +21,7 @@ from markovmix.gmmc import (
     smoothed_conditional_probs,
     transition_edge_list,
 )
+from markovmix.mnlogit import _lag_design, build_design, predict_probs
 from markovmix.optim import numeric_hessian
 from markovmix.simulation import simulate_homog_chain, simulate_nonhomog_chain
 
@@ -45,12 +47,13 @@ class TestBuildProbTensor:
         panel = encode_sequences([rng.integers(1, 4, 40).tolist(),
                                   rng.integers(1, 3, 40).tolist()])
         cov = CovariateMatrix(rng.normal(size=40), ["x"])
-        tensors, submodels, train_probs = build_prob_tensor(panel, cov, x_lag=1)
+        tensors, submodels = build_prob_tensor(panel, cov, x_lag=1)
         assert len(tensors) == 2 and len(submodels) == 2
+        design = build_design(panel, 0, 0, cov, x_lag=1)[0]
         for j, q in enumerate(tensors):
             assert q.shape == (39, 2)
             assert ((q > 0) & (q < 1)).all()
-            assert train_probs[j][0].shape == (39, panel.alphabet_sizes[j])
+            assert predict_probs(submodels[j][0], design).shape == (39, panel.alphabet_sizes[j])
 
     def test_zero_covariate_iid_uniform_near_half(self):
         rng = np.random.default_rng(123)
@@ -59,7 +62,7 @@ class TestBuildProbTensor:
             np.column_stack([rng.integers(1, 3, n), rng.integers(1, 3, n)]), (2, 2)
         )
         cov = CovariateMatrix(np.zeros((n, 1)), ["zero"])
-        tensors, _, _ = build_prob_tensor(panel, cov, x_lag=1)
+        tensors, _ = build_prob_tensor(panel, cov, x_lag=1)
         assert np.abs(tensors[0].mean(axis=0) - 0.5).max() < 2.0 / math.sqrt(n)
 
     def test_copy_chain_probabilities_approach_one(self):
@@ -69,7 +72,7 @@ class TestBuildProbTensor:
         copy = np.concatenate([[1], source[:-1]])
         panel = Panel(np.column_stack([copy, source]), (2, 2))
         cov = CovariateMatrix(rng.normal(size=n), ["x"])
-        tensors, submodels, _ = build_prob_tensor(panel, cov, x_lag=1)
+        tensors, submodels = build_prob_tensor(panel, cov, x_lag=1)
         # predicting the copy from its source is deterministic
         assert tensors[0][:, 1].mean() > 0.97
         assert submodels[0][1].separation
@@ -142,9 +145,10 @@ class TestEstimateGmmc:
             assert (fit.weights[j] >= -1e-8).all()
 
     def test_loglik_dominates_uniform_and_vertices(self, part1_style_fit):
-        _, _, fit = part1_style_fit
+        panel, cov, fit = part1_style_fit
+        tensors, _ = build_prob_tensor(panel, cov, x_lag=1)
         for j in range(2):
-            q = fit.prob_tensors[j]
+            q = tensors[j]
             assert fit.logliks[j] >= gmmc_loglik(np.array([0.5, 0.5]), q) - 1e-7
             for v in range(2):
                 vertex = np.zeros(2)
@@ -166,11 +170,11 @@ class TestEstimateGmmc:
         build = gmmc.build_prob_tensor
 
         def nearly_equal_sources(*args, **kwargs):
-            tensors, submodels, train_probs = build(*args, **kwargs)
+            tensors, submodels = build(*args, **kwargs)
             noise = np.random.default_rng(1).uniform(-1.0, 1.0, size=len(tensors[0]))
             for q in tensors:
                 q[:, 1] = q[:, 0] * (1.0 + 1e-8 * noise)
-            return tensors, submodels, train_probs
+            return tensors, submodels
 
         monkeypatch.setattr(gmmc, "build_prob_tensor", nearly_equal_sources)
         rng = np.random.default_rng(8)
@@ -220,11 +224,9 @@ class TestConditionalTransitionMatrix:
         _, _, fit = part1_style_fit
         x_val = np.array([1.3])
         dist = conditional_distribution(fit, 0, [2, 2], x_val)
-        from markovmix.gmmc import _submodel_distribution
-
-        manual = fit.weights[0, 0] * _submodel_distribution(fit.submodels[0][0], 2, x_val)
-        manual += fit.weights[0, 1] * _submodel_distribution(fit.submodels[0][1], 2, x_val)
-        manual /= manual.sum()
+        design = _lag_design([2], x_val[None, :], 2)
+        manual = fit.weights[0, 0] * predict_probs(fit.submodels[0][0], design)[0]
+        manual += fit.weights[0, 1] * predict_probs(fit.submodels[0][1], design)[0]
         assert np.allclose(dist, manual, atol=1e-12)
 
     @pytest.mark.parametrize("lagged, state", [([0, 1], 0), ([1, 3], 3)])
@@ -268,16 +270,17 @@ class TestConditionalTransitionMatrix:
 
 class TestSmoothedConditionalProbs:
     def test_shape_contract(self, part1_style_fit):
-        panel, _, fit = part1_style_fit
+        panel, cov, fit = part1_style_fit
         rows = panel.n_obs - 1
         for window in (1, 5):
-            out = smoothed_conditional_probs(fit, 0, 0, window=window)
+            out = smoothed_conditional_probs(fit, panel, cov, 0, 0, window=window)
             assert out.shape == (rows - window + 1, 2)
 
     def test_window_one_is_identity(self, part1_style_fit):
-        _, _, fit = part1_style_fit
-        out = smoothed_conditional_probs(fit, 0, 1, window=1)
-        assert np.allclose(out, fit.train_probs[0][1])
+        panel, cov, fit = part1_style_fit
+        out = smoothed_conditional_probs(fit, panel, cov, 0, 1, window=1)
+        paths = predict_probs(fit.submodels[0][1], build_design(panel, 1, 0, cov, x_lag=1)[0])
+        assert np.allclose(out, paths)
 
     def test_constant_inputs_give_constant_path(self):
         rng = np.random.default_rng(11)
@@ -289,20 +292,52 @@ class TestSmoothedConditionalProbs:
         )
         cov = CovariateMatrix(np.zeros((n, 1)), ["x"])
         fit = estimate_gmmc(panel, cov)
-        paths = fit.train_probs[0][0]
+        paths = predict_probs(fit.submodels[0][0], build_design(panel, 0, 0, cov)[0])
         lag = panel.states[:-1, 0]
         # within a fixed lag state the fitted path is constant
         for state in (1, 2):
             rows = paths[lag == state]
             assert np.max(rows.max(axis=0) - rows.min(axis=0)) < 1e-12
 
-    def test_loaded_fit_has_no_training_paths(self, part1_style_fit, tmp_path):
-        _, _, fit = part1_style_fit
-        path = tmp_path / "fit.json"
+    def test_loaded_fit_matches_fresh_fit(self, part1_style_fit, tmp_path, capsys):
+        panel, cov, fit = part1_style_fit
+        path, resaved = tmp_path / "fit.json", tmp_path / "resaved.json"
         save_fit(fit, path)
         loaded = load_fit(path)
-        with pytest.raises(EstimationError, match="refit"):
-            smoothed_conditional_probs(loaded, 0, 0)
+        for j in range(2):
+            for k in range(2):
+                assert np.array_equal(smoothed_conditional_probs(loaded, panel, cov, j, k),
+                                      smoothed_conditional_probs(fit, panel, cov, j, k))
+            for x_val in (-0.52, 2.97):
+                assert np.array_equal(conditional_transition_matrix(loaded, j, x_val),
+                                      conditional_transition_matrix(fit, j, x_val))
+        save_fit(loaded, resaved)
+        csv_text = []
+        for fit_path in (path, resaved):
+            assert main(["transmat", "--fit", str(fit_path), "--x", "2.97"]) == 0
+            csv_text.append(capsys.readouterr().out)
+        assert csv_text[0] == csv_text[1]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda panel, cov: (Panel(panel.states[:, [0, 1, 1]], (2, 2, 2)), cov),
+             "alphabet sizes"),
+            (lambda panel, cov: (panel, CovariateMatrix(np.zeros((panel.n_obs, 2)), ["a", "b"])),
+             "2 covariate"),
+        ],
+        ids=["alphabets", "covariates"],
+    )
+    def test_data_must_match_the_fit(self, part1_style_fit, change, message):
+        panel, cov, fit = part1_style_fit
+        with pytest.raises(DataError, match=message):
+            smoothed_conditional_probs(fit, *change(panel, cov), 0, 0)
+
+    @pytest.mark.parametrize("equation, source", [(2, 0), (0, -1)])
+    def test_index_out_of_range(self, part1_style_fit, equation, source):
+        panel, cov, fit = part1_style_fit
+        with pytest.raises(DataError, match=r"out of range 0\.\.1"):
+            smoothed_conditional_probs(fit, panel, cov, equation, source)
 
 
 class TestFitSerialization:

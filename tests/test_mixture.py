@@ -56,7 +56,7 @@ class TestTensorLayout:
 
     def test_gmmc_tensor(self, panel):
         cov = CovariateMatrix(np.random.default_rng(5).normal(size=200), ["x"])
-        tensors, _, _ = build_prob_tensor(panel, cov, x_lag=1)
+        tensors, _ = build_prob_tensor(panel, cov, x_lag=1)
         assert all(q.T.flags.c_contiguous for q in tensors)
 
     def test_mtd_tensors(self, panel):

@@ -308,7 +308,7 @@ class TestAuglagAnalyticHessian:
         s2 = simulate_homog_chain(np.array([[0.55, 0.45], [0.3, 0.7]]), n, rng=rng)
         s3 = simulate_homog_chain(np.array([[0.8, 0.2], [0.4, 0.6]]), n, rng=rng)
         panel = Panel(np.column_stack([s1, s2, s3]), (2, 2, 2))
-        tensors, _, _ = build_prob_tensor(panel, CovariateMatrix(x.reshape(-1, 1), ["x"]))
+        tensors, _ = build_prob_tensor(panel, CovariateMatrix(x.reshape(-1, 1), ["x"]))
         for q in tensors:
             start = np.full(3, 1.0 / 3.0)
             res = maximize_auglag(
