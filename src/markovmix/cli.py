@@ -54,10 +54,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as err:
+    except (DataError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
     except EstimationError as err:
@@ -148,26 +145,20 @@ def _cmd_estimate(args) -> int:
             return EXIT_USAGE
         covariates = read_covariates_csv(args.x)
         x_lag = 1 if args.x_lag is None else args.x_lag
-        fit = estimate_gmmc(panel, covariates, initial=initial, x_lag=x_lag)
-        report = fit.fit_report
-        converged = all(fit.converged)
+        model = estimate_gmmc(panel, covariates, initial=initial, x_lag=x_lag)
         if args.save_fit:
-            save_fit(fit, args.save_fit)
+            save_fit(model, args.save_fit)
     elif args.model == "mtd":
         model = estimate_mtd(panel)
-        report = model.fit_report
-        converged = all(model.converged)
     else:  # mtd-probit
         model = estimate_mtd_probit(panel, initial=initial)
-        report = model.fit_report
-        converged = all(model.converged)
 
-    print(format_report(report), end="")
+    print(format_report(model.fit_report), end="")
     if args.out_json:
         with open(args.out_json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(model.fit_report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if not converged:
+    if not all(model.converged):
         print("error: estimation did not converge; see report warnings", file=sys.stderr)
         return EXIT_ESTIMATION
     return EXIT_OK
@@ -209,11 +200,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_transmat(args) -> int:
     fit = load_fit(args.fit)
     x_value = _parse_floats(args.x, "--x")
-    equations = (
-        range(fit.n_chains)
-        if args.equation is None
-        else [args.equation - 1]
-    )
+    equations = range(fit.n_chains) if args.equation is None else [args.equation - 1]
     for j in equations:
         if not 0 <= j < fit.n_chains:
             print(f"error: equation {j + 1} out of range 1..{fit.n_chains}", file=sys.stderr)

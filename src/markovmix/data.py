@@ -60,9 +60,8 @@ class Panel:
                     f"column {j}: states must lie in 1..{m}, "
                     f"found range [{col.min()}, {col.max()}]"
                 )
-            seen = np.unique(col)
-            if len(seen) != m:
-                missing = sorted(set(range(1, m + 1)) - set(seen.tolist()))
+            missing = (np.flatnonzero(np.bincount(col, minlength=m + 1)[1:] == 0) + 1).tolist()
+            if missing:
                 raise DataError(f"column {j}: states {missing} never occur; re-encode the column")
         if not self.labels:
             self.labels = [list(range(1, m + 1)) for m in self.alphabet_sizes]
@@ -367,32 +366,38 @@ def read_covariates_csv(path) -> CovariateMatrix:
 def _read_table(path, has_header: bool) -> tuple[Optional[list[str]], list[tuple[str, ...]]]:
     """One pass over a CSV: its header (or None) and its data as column tuples.
 
-    Cells are stripped and blank rows skipped.  Every row, the header
-    included, must be as wide as the first, and no cell may be empty.
-    Data rows are numbered from 1, skipping blank rows.
+    Cells are stripped, a column at a time, and blank rows skipped.  Every
+    row, the header included, must be as wide as the first, and no cell
+    may be empty.  Data rows are numbered from 1, skipping blank rows.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            table = [row for row in ([*map(str.strip, raw)] for raw in csv.reader(fh)) if any(row)]
+            table = list(csv.reader(fh))
     except UnicodeDecodeError as err:
         raise DataError(f"{path}: not UTF-8 text ({err})") from None
     except csv.Error as err:
         raise DataError(f"{path}: malformed CSV ({err})") from None
-    if len(table) <= has_header:
-        raise DataError(f"{path}: no data rows")
 
     def row_name(r: int) -> str:
         r += not has_header
         return f"row {r}" if r else "the header row"
 
-    ncol = len(table[0])
-    if len(set(map(len, table))) > 1:
-        r = next(r for r, row in enumerate(table) if len(row) != ncol)
-        raise DataError(f"{path}: {row_name(r)} has {len(table[r])} cells, expected {ncol}")
-    columns = list(zip(*table))
-    for c, column in enumerate(columns):
-        if "" in column:
-            raise DataError(f"{path}: missing cell at {row_name(column.index(''))}, column {c + 1}")
+    columns = [tuple(map(str.strip, column)) for column in zip(*table)]
+    ragged = not columns or set(map(len, table)) != {len(columns)}
+    if ragged or len(table) <= has_header or any("" in column for column in columns):
+        # a blank row (empty, or all empty cells) fails a check above: only now drop them
+        table = [row for row in table if any(map(str.strip, row))]
+        if len(table) <= has_header:
+            raise DataError(f"{path}: no data rows")
+        ncol = len(table[0])
+        if len(set(map(len, table))) > 1:
+            r = next(r for r, row in enumerate(table) if len(row) != ncol)
+            raise DataError(f"{path}: {row_name(r)} has {len(table[r])} cells, expected {ncol}")
+        columns = [tuple(map(str.strip, column)) for column in zip(*table)]
+        for c, column in enumerate(columns):
+            if "" in column:
+                r = column.index("")
+                raise DataError(f"{path}: missing cell at {row_name(r)}, column {c + 1}")
     if not has_header:
         return None, columns
     return [column[0] for column in columns], [column[1:] for column in columns]
@@ -428,6 +433,7 @@ def _numeric(path, columns: list[tuple[str, ...]], which) -> np.ndarray:
         raise
 
 
-def _check_chain(panel: Panel, chain: int) -> None:
-    if not 0 <= chain < panel.n_chains:
-        raise DataError(f"chain index {chain} out of range 0..{panel.n_chains - 1}")
+def _check_chain(chains, chain: int) -> None:
+    """DataError unless ``chain`` indexes a chain of ``chains``, a panel or a fit."""
+    if not 0 <= chain < chains.n_chains:
+        raise DataError(f"chain index {chain} out of range 0..{chains.n_chains - 1}")

@@ -26,7 +26,9 @@ from ._mixture import _weight_report, mixture_gradient, mixture_hessian, mixture
 from .data import CovariateMatrix, Panel, _check_chain, _check_state, moving_average
 from .exceptions import DataError, EstimationError
 from .inference import FitReport, equation_report
-from .mnlogit import DesignSpec, MnLogitModel, _lag_design, build_design, fit_mnlogit, predict_probs
+from .mnlogit import (
+    DesignSpec, MnLogitModel, _check_design, _lag_design, build_design, fit_mnlogit, predict_probs,
+)
 from .optim import maximize_auglag, project_simplex
 from .schemas import FIT_SCHEMA, check_structure
 
@@ -69,6 +71,7 @@ def build_prob_tensor(
     s = panel.n_chains
     # a design depends only on its source chain k; k -> k also gives equation k's response
     designs = [build_design(panel, k, k, covariates, x_lag) for k in range(s)]
+    checked = []  # design k with its checks, run at equation 0 and shared by every equation
     tensors: list[np.ndarray] = []
     submodels: list[list[MnLogitModel]] = []
     for j in range(s):
@@ -77,8 +80,10 @@ def build_prob_tensor(
         q_cols = []
         for k, (design, _, spec) in enumerate(designs):
             try:
+                if j == 0:
+                    checked.append(_check_design(design, spec))
                 model = fit_mnlogit(
-                    design, response, n_states=panel.alphabet_sizes[j], spec=spec
+                    checked[k], response, n_states=panel.alphabet_sizes[j], spec=spec
                 )
             except (DataError, EstimationError) as err:
                 raise type(err)(
@@ -169,6 +174,7 @@ def conditional_distribution(
     fit: GmmcFit, equation: int, lagged_states: Sequence[int], x_value
 ) -> np.ndarray:
     """Mixture next-state distribution at explicit per-chain lagged states."""
+    _check_chain(fit, equation)
     x_value = _check_x(fit, x_value)
     lagged = list(lagged_states)
     if len(lagged) != fit.n_chains:
@@ -187,6 +193,7 @@ def conditional_transition_matrix(fit: GmmcFit, equation: int, x_value) -> np.nd
     mixtures of distributions, so they sum to one for any covariate
     value.
     """
+    _check_chain(fit, equation)
     x_value = _check_x(fit, x_value)
     lag_rows = []
     for label in fit.labels[equation]:

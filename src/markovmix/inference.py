@@ -59,12 +59,7 @@ def wald_test(estimate: float, std_error: float, null_value: float = 0.0) -> Wal
     if not np.isfinite(std_error) or std_error <= 0:
         raise ValueError(f"standard error must be positive and finite, got {std_error}")
     statistic = float((estimate - null_value) ** 2 / std_error**2)
-    return WaldResult(
-        statistic=statistic,
-        df=1,
-        p_value=float(chi2_1_sf(statistic)),
-        null_value=null_value,
-    )
+    return WaldResult(statistic, 1, float(chi2_1_sf(statistic)), null_value)
 
 
 @dataclass
@@ -177,26 +172,14 @@ def _format_equation_rows(eq: EquationReport) -> list[str]:
         [fmt(v, 3) for v in eq.z_values],
         [fmt(v, 3) for v in eq.p_values],
     ]
-    stars = [
-        significance_stars(p) if np.isfinite(p) else "" for p in eq.p_values
-    ]
+    stars = [significance_stars(p) if np.isfinite(p) else "" for p in eq.p_values]
     widths = [max(len(h), *(len(v) for v in col)) for h, col in zip(headers, cols)]
     name_width = max(len(n) for n in names)
-    star_width = 3
 
-    out = [
-        " " * name_width
-        + " "
-        + " ".join(h.rjust(w) for h, w in zip(headers, widths))
-        + " "
-        + " " * star_width
+    def row(name: str, cells, star: str) -> str:
+        padded = " ".join(cell.rjust(w) for cell, w in zip(cells, widths))
+        return f"{name.ljust(name_width)} {padded} {star.ljust(3)}"
+
+    return [row("", headers, "")] + [
+        row(name, [col[i] for col in cols], stars[i]) for i, name in enumerate(names)
     ]
-    for i, name in enumerate(names):
-        out.append(
-            name.ljust(name_width)
-            + " "
-            + " ".join(col[i].rjust(w) for col, w in zip(cols, widths))
-            + " "
-            + stars[i].ljust(star_width)
-        )
-    return out

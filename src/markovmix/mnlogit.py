@@ -177,8 +177,16 @@ def _hessian(design_t: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return hess
 
 
+@dataclass(frozen=True)
+class _CheckedDesign:
+    """A design that passed ``_check_design``, with the mask of its nonzero columns."""
+
+    matrix: np.ndarray
+    active: np.ndarray
+
+
 def fit_mnlogit(
-    design: np.ndarray, response: np.ndarray, n_states: Optional[int] = None,
+    design: np.ndarray | _CheckedDesign, response: np.ndarray, n_states: Optional[int] = None,
     spec: Optional[DesignSpec] = None,
 ) -> MnLogitModel:
     """Newton-Raphson maximum likelihood for the multinomial logit.
@@ -188,33 +196,25 @@ def fit_mnlogit(
     ridge; coefficients walking past |b| = 30 flag likely perfect
     separation (the fit is still returned).  A rank-deficient design is
     an error naming the dependent columns, an overflowing information
-    matrix an EstimationError.
+    matrix an EstimationError.  A design passed as its ``_check_design``
+    result is not checked again, so several responses can share its checks.
     """
-    design = np.asarray(design, dtype=float)
+    checked = design if isinstance(design, _CheckedDesign) else None
+    design = checked.matrix if checked else np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=int)
-    nrows, p = design.shape
+    p = design.shape[1]
     if n_states is None:
         n_states = int(response.max())
     if n_states < 2:
         raise DataError(f"response has {n_states} state; a multinomial logit needs at least 2")
-    observed = np.unique(response)
-    missing = sorted(set(range(1, n_states + 1)) - set(observed.tolist()))
+    # counts of states 1..n_states; clipping keeps any other value out of them
+    counts = np.bincount(np.clip(response, 0, n_states + 1), minlength=n_states + 2)[1:-1]
+    missing = (np.flatnonzero(counts == 0) + 1).tolist()
     if missing:
         raise DataError(f"response states {missing} never observed; cannot fit {n_states} states")
-    if nrows < p + 1:
-        raise DataError(f"{nrows} rows cannot support {p} design columns")
-    if not np.isfinite(design).all():  # the rank check's SVD would not converge
-        raise DataError("design contains non-finite entries")
-    # identically-zero columns carry no information and never enter a
-    # prediction; fit without them and pin their coefficients at 0
-    # (covers all-zero covariates and never-visited lag indicators)
-    active = ~np.all(design == 0.0, axis=0)
-    if not active.any():
-        raise DataError("design has no nonzero column")
-    reduced = design[:, active]
-    _check_rank(reduced, spec, np.nonzero(active)[0])
+    active = (checked or _check_design(design, spec)).active
 
-    beta_reduced, ll, converged, iterations = _newton_fit(reduced, response, n_states)
+    beta_reduced, ll, converged, iterations = _newton_fit(design[:, active], response, n_states)
     beta = np.zeros((n_states - 1, p))
     beta[:, active] = beta_reduced
 
@@ -222,12 +222,9 @@ def fit_mnlogit(
     # at its supremum (every realized outcome predicted with certainty)
     separation = bool(np.max(np.abs(beta)) > SEPARATION_BOUND or ll > -1e-6)
     if spec is None:
-        # generic spec for designs not built by build_design: treat every
-        # column beyond the first as a covariate
-        spec = DesignSpec(
-            n_source_states=1, n_covariates=p - 1, x_lag=0,
-            column_names=[f"x{i}" for i in range(p)],
-        )
+        # generic spec for designs not built by build_design: every column
+        # beyond the first is a covariate
+        spec = DesignSpec(1, p - 1, 0, [f"x{i}" for i in range(p)])
     return MnLogitModel(
         coefficients=beta,
         n_states=n_states,
@@ -289,6 +286,25 @@ def predict_probs(model: MnLogitModel, design: np.ndarray) -> np.ndarray:
             f"{model.coefficients.shape[1]}"
         )
     return _evaluate(model.coefficients, design.T, 0.0)[1].T
+
+
+def _check_design(design: np.ndarray, spec: Optional[DesignSpec] = None) -> _CheckedDesign:
+    """The design and its nonzero columns, the ones a fit uses; DataError if they cannot carry one.
+
+    A zero column (an all-zero covariate, a never-visited lag state) never
+    enters a prediction, so its coefficients are pinned at 0.
+    """
+    design = np.asarray(design, dtype=float)
+    nrows, p = design.shape
+    if nrows < p + 1:
+        raise DataError(f"{nrows} rows cannot support {p} design columns")
+    if not np.isfinite(design).all():  # the rank check's SVD would not converge
+        raise DataError("design contains non-finite entries")
+    active = ~np.all(design == 0.0, axis=0)
+    if not active.any():
+        raise DataError("design has no nonzero column")
+    _check_rank(design[:, active], spec, np.nonzero(active)[0])
+    return _CheckedDesign(design, active)
 
 
 def _check_rank(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from markovmix.data import (
     CovariateMatrix,
+    _read_table,
     count_transitions,
     discretize_quantiles,
     empirical_distribution,
@@ -459,3 +460,62 @@ class TestReaderMatchesCellOracle:
             path.unlink()
         assert np.array_equal(cov.values, values)
         assert cov.column_names == header
+
+
+_READER_CASES = [
+    # (id, text, has_header, header, columns)
+    ("blank-lines-skipped", "a,b\n\n   \nc,d\n", False, None, [("a", "c"), ("b", "d")]),
+    ("whitespace-line-of-another-width", "a,b\n \t , ,  \nc,d\n", False, None,
+     [("a", "c"), ("b", "d")]),
+    ("commas-line-of-equal-width", "a,b,c\n,,\nd,e,f\n", False, None,
+     [("a", "d"), ("b", "e"), ("c", "f")]),
+    ("commas-line-of-another-width", "a,b\n,,\nc,d\n", False, None, [("a", "c"), ("b", "d")]),
+    ("blank-first-row", " , \nx,y\na,b\n", True, ["x", "y"], [("a",), ("b",)]),
+    ("trailing-blank-lines", "x,y\na,b\nc,d\n\n\n  \n", True, ["x", "y"],
+     [("a", "c"), ("b", "d")]),
+    ("crlf", "x,y\r\na,b\r\n\r\nc,d\r\n", True, ["x", "y"], [("a", "c"), ("b", "d")]),
+    ("cells-stripped", " x ,\ty\n a , b \n", True, ["x", "y"], [("a",), ("b",)]),
+    ("one-column-blank-line", "a\n \nb\n", False, None, [("a", "b")]),
+]
+
+_READER_FAULTS = [
+    # (id, text, has_header, message after "<path>: ")
+    ("ragged-row-after-blank-lines", "a,b\n\n\nc\n", False, "row 2 has 1 cells, expected 2"),
+    ("ragged-row-with-header", "x,y\n\na,b\n \nc\n", True, "row 2 has 1 cells, expected 2"),
+    ("header-wider-than-rows", "x,y,z\na,b\n", True, "row 1 has 2 cells, expected 3"),
+    ("header-narrower-than-rows", "x\na,b\n", True, "row 1 has 2 cells, expected 1"),
+    ("ragged-before-missing", "a,b\n,c\nd\n", False, "row 3 has 1 cells, expected 2"),
+    ("missing-cell", "a,b\nc, \n", False, "missing cell at row 2, column 2"),
+    ("missing-cell-after-blank", "x,y\n\na,b\n,d\n", True, "missing cell at row 2, column 1"),
+    ("missing-cell-column-order", "a,b\nc,\n,d\n", False, "missing cell at row 3, column 1"),
+    ("missing-header-cell", " ,y\na,b\n", True, "missing cell at the header row, column 1"),
+    ("quoted-blank-cell", 'a,b\n" ",c\n', False, "missing cell at row 2, column 1"),
+    ("crlf-missing-cell", "a,b\r\n,d\r\n", False, "missing cell at row 2, column 1"),
+    ("empty-file", "", False, "no data rows"),
+    ("blank-lines-only", "\n , \n,,\n", False, "no data rows"),
+    ("header-only", "x,y\n\n\n", True, "no data rows"),
+]
+
+
+class TestReaderPinned:
+    """Exact results and error texts of the one CSV reader on awkward tables."""
+
+    @pytest.mark.parametrize(
+        "text, has_header, header, columns",
+        [case[1:] for case in _READER_CASES], ids=[case[0] for case in _READER_CASES],
+    )
+    def test_result(self, tmp_path, text, has_header, header, columns):
+        path = tmp_path / "table.csv"
+        path.write_bytes(text.encode())
+        assert _read_table(path, has_header) == (header, columns)
+
+    @pytest.mark.parametrize(
+        "text, has_header, message",
+        [case[1:] for case in _READER_FAULTS], ids=[case[0] for case in _READER_FAULTS],
+    )
+    def test_fault(self, tmp_path, text, has_header, message):
+        path = tmp_path / "table.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError) as err:
+            _read_table(path, has_header)
+        assert str(err.value) == f"{path}: {message}"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from markovmix import gmmc
+from markovmix import gmmc, mnlogit
 from markovmix.data import CovariateMatrix, Panel, encode_sequences
 from markovmix.exceptions import DataError, EstimationError
 from markovmix.cli import main
@@ -76,6 +76,37 @@ class TestBuildProbTensor:
         # predicting the copy from its source is deterministic
         assert tensors[0][:, 1].mean() > 0.97
         assert submodels[0][1].separation
+
+    @staticmethod
+    def _three_chain_inputs(n=400):
+        rng = np.random.default_rng(9)
+        x = rng.normal(2.0, 5.0, size=n)
+        tm = np.array([[0.6, 0.4], [0.35, 0.65]])
+        chains = [simulate_nonhomog_chain(np.array([[-1.2, 1.4, 0.45]]), x, n, rng=rng),
+                  simulate_homog_chain(tm, n, rng=rng), simulate_homog_chain(tm, n, rng=rng)]
+        return Panel(np.column_stack(chains), (2, 2, 2)), x
+
+    def test_each_design_is_checked_once(self, monkeypatch):
+        # the s equations share source chain k's design: s rank checks, not s * s
+        calls = []
+        check_rank = mnlogit._check_rank
+        monkeypatch.setattr(
+            mnlogit, "_check_rank", lambda *args: calls.append(args) or check_rank(*args)
+        )
+        panel, x = self._three_chain_inputs()
+        fit = estimate_gmmc(panel, CovariateMatrix(x.reshape(-1, 1), ["x"]))
+        assert len(calls) == 3
+        assert all(len(row) == 3 for row in fit.submodels)
+
+    def test_rank_deficient_design_names_its_pair(self):
+        # the covariate copies chain 1's lagged indicator of state 2: only
+        # source chain 1's design is rank deficient
+        panel, _ = self._three_chain_inputs()
+        x = (panel.states[:, 1] == 2).astype(float)
+        with pytest.raises(
+            DataError, match="conditional fit for equation 0, source chain 1: design is rank"
+        ):
+            build_prob_tensor(panel, CovariateMatrix(x.reshape(-1, 1), ["x"]), x_lag=1)
 
     def test_failing_pair_is_named(self):
         panel = encode_sequences([[1, 2, 1, 2, 1, 2], [1, 2, 2, 1, 1, 2]])
@@ -240,6 +271,14 @@ class TestConditionalTransitionMatrix:
         _, _, fit = part1_style_fit
         with pytest.raises(DataError, match=r"lag state 1\.5 is not an integer"):
             conditional_distribution(fit, 0, [1.5, 1], 1.3)
+
+    @pytest.mark.parametrize("equation", [-1, 2])
+    def test_equation_out_of_range(self, part1_style_fit, equation):
+        _, _, fit = part1_style_fit
+        with pytest.raises(DataError, match=rf"chain index {equation} out of range 0\.\.1"):
+            conditional_transition_matrix(fit, equation, 1.3)
+        with pytest.raises(DataError, match=rf"chain index {equation} out of range 0\.\.1"):
+            conditional_distribution(fit, equation, [1, 1], 1.3)
 
     def test_label_mismatch_rejected(self):
         rng = np.random.default_rng(6)
