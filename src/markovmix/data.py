@@ -78,9 +78,6 @@ class Panel:
     def n_chains(self) -> int:
         return self.states.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.states[:, j]
-
     def decode(self) -> list[list]:
         """Invert the encoding: original label columns, one list per chain."""
         return [

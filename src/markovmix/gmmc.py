@@ -66,35 +66,29 @@ def build_prob_tensor(
     Returns, per equation j: a (rows, s) tensor whose [t, k] entry is
     the fitted probability of the realized state of chain j at step t
     conditional on chain k's lagged state and the covariate row; and the
-    fitted submodels.
+    fitted submodels.  A design depends only on its source chain k, so
+    each is built, checked and prepared once and serves all s equations.
     """
     s = panel.n_chains
-    # a design depends only on its source chain k; k -> k also gives equation k's response
-    designs = [build_design(panel, k, k, covariates, x_lag) for k in range(s)]
-    checked = []  # design k with its checks, run at equation 0 and shared by every equation
-    tensors: list[np.ndarray] = []
-    submodels: list[list[MnLogitModel]] = []
-    for j in range(s):
-        response = designs[j][1]
-        row_models: list[MnLogitModel] = []
-        q_cols = []
-        for k, (design, _, spec) in enumerate(designs):
+    q_cols: list[list[np.ndarray]] = [[] for _ in range(s)]  # [j][k]: realized-state column
+    submodels: list[list[MnLogitModel]] = [[] for _ in range(s)]
+    for k in range(s):
+        design, _, spec = build_design(panel, k, k, covariates, x_lag)
+        # equation j's response is chain j on the design's rows, the panel's last ones
+        for j, response in enumerate(panel.states[-len(design):].T):
             try:
-                if j == 0:
-                    checked.append(_check_design(design, spec))
+                if j == 0:  # so a design fault names equation 0
+                    checked = _check_design(design, spec)
                 model = fit_mnlogit(
-                    checked[k], response, n_states=panel.alphabet_sizes[j], spec=spec
+                    checked, response, n_states=panel.alphabet_sizes[j], spec=spec
                 )
             except (DataError, EstimationError) as err:
                 raise type(err)(
                     f"conditional fit for equation {j}, source chain {k}: {err}"
                 ) from err
-            probs = predict_probs(model, design)
-            q_cols.append(probs[np.arange(len(response)), response - 1])
-            row_models.append(model)
-        tensors.append(np.array(q_cols).T)
-        submodels.append(row_models)
-    return tensors, submodels
+            q_cols[j].append(predict_probs(model, design)[np.arange(len(response)), response - 1])
+            submodels[j].append(model)
+    return [np.array(cols).T for cols in q_cols], submodels
 
 
 def gmmc_loglik(weights: Sequence[float], tensor: np.ndarray) -> float:
@@ -342,7 +336,7 @@ def load_fit(path) -> GmmcFit:
             submodels[j].append(MnLogitModel(
                 coefficients=coefficients,
                 n_states=sizes[j],
-                spec=DesignSpec(sizes[k], d, x_lag, list(entry["column_names"])),
+                spec=DesignSpec(sizes[k], d, list(entry["column_names"])),
                 loglik=float(_float_array(entry["loglik"], (), path, f"{field_name}.loglik")),
                 converged=entry["converged"],
                 iterations=0,

@@ -11,6 +11,11 @@ That layout is written once, in ``_lag_design``, and the softmax once,
 in ``_evaluate``: the fit, GMMC's conditional transition matrices and
 both Monte Carlo generators in ``simulation`` go through them.
 
+The fit runs on the design's nonzero columns at unit max-abs scale, the
+matrix the rank check builds, and is converged when the Newton decrement
+score' info^-1 score is at most ``DECREMENT_TOL`` per observation; neither
+depends on the columns' units (Boyd & Vandenberghe 2004, section 9.5).
+
 The likelihood works category-major, on the design as (p, n) and the
 logits as (m-1, n), so softmax reductions run along axis 0 and not
 along the short rows of an (n, m) array.
@@ -26,8 +31,7 @@ import numpy as np
 from .data import CovariateMatrix, Panel
 from .exceptions import DataError, EstimationError
 
-SCORE_TOL = 1e-8
-LL_TOL = 1e-10
+DECREMENT_TOL = 1e-9  # per observation
 MAX_NEWTON_ITER = 100
 SEPARATION_BOUND = 30.0
 RIDGE = 1e-8
@@ -39,7 +43,6 @@ class DesignSpec:
 
     n_source_states: int  # m_k: lag alphabet (gives m_k - 1 indicator columns)
     n_covariates: int
-    x_lag: int
     column_names: list[str] = field(default_factory=list)
 
     @property
@@ -105,7 +108,7 @@ def build_design(
     names = ["intercept", *(f"lag{from_chain}=={state}" for state in range(2, m_k + 1))]
     if covariates is not None:
         names.extend(covariates.column_names)
-    return design, panel.states[t_idx, to_chain], DesignSpec(m_k, d, x_lag, names)
+    return design, panel.states[t_idx, to_chain], DesignSpec(m_k, d, names)
 
 
 def _lag_design(lag_states, covariate_rows, n_source_states: int) -> np.ndarray:
@@ -179,9 +182,11 @@ def _hessian(design_t: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _CheckedDesign:
-    """A design that passed ``_check_design``, with the mask of its nonzero columns."""
+    """A design that passed ``_check_design``, prepared once for all its fits: the
+    ``active`` (nonzero) columns over their ``scales``, transposed and C-contiguous."""
 
-    matrix: np.ndarray
+    scaled_t: np.ndarray
+    scales: np.ndarray
     active: np.ndarray
 
 
@@ -191,18 +196,17 @@ def fit_mnlogit(
 ) -> MnLogitModel:
     """Newton-Raphson maximum likelihood for the multinomial logit.
 
-    Stops when the score norm falls below 1e-8 or the log-likelihood
-    change below 1e-10.  A singular information matrix gets a small
-    ridge; coefficients walking past |b| = 30 flag likely perfect
+    Fits the nonzero columns on unit max-abs scale and returns the
+    coefficients in the design's own units.  Converged means the Newton
+    decrement fell to ``DECREMENT_TOL`` per observation; the final full
+    Newton step is then taken.  A singular information matrix gets a
+    small ridge; coefficients walking past |b| = 30 flag likely perfect
     separation (the fit is still returned).  A rank-deficient design is
-    an error naming the dependent columns, an overflowing information
-    matrix an EstimationError.  A design passed as its ``_check_design``
-    result is not checked again, so several responses can share its checks.
+    an error naming the dependent columns, a non-finite Newton step an
+    EstimationError.  A design passed as its ``_check_design`` result is
+    not checked or prepared again, so several responses share that work.
     """
-    checked = design if isinstance(design, _CheckedDesign) else None
-    design = checked.matrix if checked else np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=int)
-    p = design.shape[1]
     if n_states is None:
         n_states = int(response.max())
     if n_states < 2:
@@ -212,11 +216,12 @@ def fit_mnlogit(
     missing = (np.flatnonzero(counts == 0) + 1).tolist()
     if missing:
         raise DataError(f"response states {missing} never observed; cannot fit {n_states} states")
-    active = (checked or _check_design(design, spec)).active
+    checked = design if isinstance(design, _CheckedDesign) else _check_design(design, spec)
+    p = checked.active.size
 
-    beta_reduced, ll, converged, iterations = _newton_fit(design[:, active], response, n_states)
+    beta_scaled, ll, converged, iterations = _newton_fit(checked.scaled_t, response, n_states)
     beta = np.zeros((n_states - 1, p))
-    beta[:, active] = beta_reduced
+    beta[:, checked.active] = beta_scaled / checked.scales
 
     # perfect separation: coefficients diverging, or in-sample likelihood
     # at its supremum (every realized outcome predicted with certainty)
@@ -224,7 +229,7 @@ def fit_mnlogit(
     if spec is None:
         # generic spec for designs not built by build_design: every column
         # beyond the first is a covariate
-        spec = DesignSpec(1, p - 1, 0, [f"x{i}" for i in range(p)])
+        spec = DesignSpec(1, p - 1, [f"x{i}" for i in range(p)])
     return MnLogitModel(
         coefficients=beta,
         n_states=n_states,
@@ -236,24 +241,19 @@ def fit_mnlogit(
     )
 
 
-def _newton_fit(design: np.ndarray, response: np.ndarray, n_states: int):
+def _newton_fit(design_t: np.ndarray, response: np.ndarray, n_states: int):
     """Newton-Raphson core; returns (coefficients, loglik, converged, iterations).
 
-    One softmax per iterate serves its score and Hessian; the line
-    search's accepted candidate brings its own.
+    ``design_t`` is the (p, n) transposed design.  One softmax per iterate
+    serves its score and Hessian; the line search's accepted candidate
+    brings its own.
     """
-    design_t = np.ascontiguousarray(design.T)
     beta = np.zeros((n_states - 1, design_t.shape[0]))
     onehot = _onehot(beta, response)
     ll, probs = _evaluate(beta, design_t, onehot)
-    converged = False
-    iterations = 0
+    tol = DECREMENT_TOL * design_t.shape[1]
     for iterations in range(1, MAX_NEWTON_ITER + 1):
         score = _score(design_t, onehot, probs)
-        if np.max(np.abs(score)) <= SCORE_TOL:
-            converged = True
-            iterations -= 1
-            break
         info = -_hessian(design_t, probs)
         try:
             step = np.linalg.solve(info, score)
@@ -261,19 +261,17 @@ def _newton_fit(design: np.ndarray, response: np.ndarray, n_states: int):
             step = np.linalg.solve(info + RIDGE * np.eye(info.shape[0]), score)
         if not np.isfinite(step).all():
             raise EstimationError("first-stage information matrix overflowed")
-        # halve the step until the likelihood does not deteriorate; after
+        converged = bool(score @ step <= tol)  # the Newton decrement certifies a full step
+        # otherwise halve the step until the likelihood does not fall; after
         # 40 failed halvings the smallest step is taken regardless
         for halvings in range(41):
             candidate = beta + 0.5**halvings * step.reshape(beta.shape)
             ll_new, probs = _evaluate(candidate, design_t, onehot)
-            if halvings == 40 or (np.isfinite(ll_new) and ll_new >= ll - 1e-12):
+            if converged or halvings == 40 or ll_new >= ll:
                 break
-        beta = candidate
-        if abs(ll_new - ll) <= LL_TOL:
-            ll = ll_new
-            converged = True
+        beta, ll = candidate, ll_new
+        if converged:
             break
-        ll = ll_new
     return beta, ll, converged, iterations
 
 
@@ -289,7 +287,7 @@ def predict_probs(model: MnLogitModel, design: np.ndarray) -> np.ndarray:
 
 
 def _check_design(design: np.ndarray, spec: Optional[DesignSpec] = None) -> _CheckedDesign:
-    """The design and its nonzero columns, the ones a fit uses; DataError if they cannot carry one.
+    """The design prepared for fitting; DataError if its nonzero columns cannot carry a fit.
 
     A zero column (an all-zero covariate, a never-visited lag state) never
     enters a prediction, so its coefficients are pinned at 0.
@@ -303,29 +301,31 @@ def _check_design(design: np.ndarray, spec: Optional[DesignSpec] = None) -> _Che
     active = ~np.all(design == 0.0, axis=0)
     if not active.any():
         raise DataError("design has no nonzero column")
-    _check_rank(design[:, active], spec, np.nonzero(active)[0])
-    return _CheckedDesign(design, active)
+    scaled, scales = _check_rank(design[:, active], spec, np.nonzero(active)[0])
+    return _CheckedDesign(np.ascontiguousarray(scaled.T), scales, active)
 
 
 def _check_rank(
     design: np.ndarray,
     spec: Optional[DesignSpec],
     column_map: Optional[np.ndarray] = None,
-) -> None:
-    # on unit max-abs columns, so the verdict ignores the covariates' units; a full
-    # matrix_rank is pivoted QR's verdict too (sigma_min <= min |R_kk|, sigma_max >= |R_00|)
-    scaled = design / np.max(np.abs(design), axis=0)
-    if np.linalg.matrix_rank(scaled) == design.shape[1]:
-        return
-    import scipy.linalg  # only a design that fails the screen loads scipy
-    _, r, pivots = scipy.linalg.qr(scaled, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int((diag > diag[0] * max(design.shape) * np.finfo(float).eps).sum())
-    if rank < design.shape[1]:
-        bad = sorted(int(c) for c in pivots[rank:])
-        if column_map is not None:
-            bad = [int(column_map[c]) for c in bad]
-        if spec is not None and spec.column_names:
-            names = [spec.column_names[c] for c in bad]
-            raise DataError(f"design is rank deficient; dependent columns: {names}")
-        raise DataError(f"design is rank deficient; dependent column indices: {bad}")
+) -> tuple[np.ndarray, np.ndarray]:
+    """The design on unit max-abs columns and their scales; DataError if it is rank deficient."""
+    # the scaled verdict ignores the covariates' units; a full matrix_rank
+    # is pivoted QR's verdict too (sigma_min <= min |R_kk|, sigma_max >= |R_00|)
+    scales = np.max(np.abs(design), axis=0)
+    scaled = design / scales
+    if np.linalg.matrix_rank(scaled) < design.shape[1]:
+        import scipy.linalg  # only a design that fails the screen loads scipy
+        _, r, pivots = scipy.linalg.qr(scaled, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(r))
+        rank = int((diag > diag[0] * max(design.shape) * np.finfo(float).eps).sum())
+        if rank < design.shape[1]:
+            bad = sorted(int(c) for c in pivots[rank:])
+            if column_map is not None:
+                bad = [int(column_map[c]) for c in bad]
+            if spec is not None and spec.column_names:
+                names = [spec.column_names[c] for c in bad]
+                raise DataError(f"design is rank deficient; dependent columns: {names}")
+            raise DataError(f"design is rank deficient; dependent column indices: {bad}")
+    return scaled, scales

@@ -375,19 +375,20 @@ class TestExitCodes:
         assert "unrecognized arguments: --constrained true" in err
         assert "Traceback" not in err
 
-    def test_overflowing_first_stage_names_its_stage(self, synthetic_files, tmp_path, capsys):
+    def test_huge_covariate_fits_as_its_unit_scale(self, synthetic_files, tmp_path, capsys):
+        # the first stage fits unit-scaled columns; unscaled, X'WX overflows at 1e300
         panel, _ = synthetic_files
         n = len(panel.read_text().splitlines())
-        cov = tmp_path / "huge.csv"
         z = np.random.default_rng(3).normal(size=n)
-        cov.write_text("x\n" + "".join(f"{1e300 * v:.17g}\n" for v in z))
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            rc = main(["estimate", "--model", "gmmc", "--y", str(panel), "--x", str(cov)])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            "error: conditional fit for equation 0, source chain 0: first-stage "
-            "information matrix overflowed\n"
-        )
+        estimates = []
+        for scale in (1.0, 1e300):
+            cov, out = tmp_path / f"x{scale:g}.csv", tmp_path / f"report{scale:g}.json"
+            cov.write_text("x\n" + "".join(f"{scale * v:.17g}\n" for v in z))
+            rc = main(["estimate", "--model", "gmmc", "--y", str(panel), "--x", str(cov),
+                       "--out-json", str(out)])
+            assert rc == 0, capsys.readouterr().err
+            estimates.append([eq["estimates"] for eq in json.loads(out.read_text())["equations"]])
+        assert np.allclose(estimates[1], estimates[0], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("role", ["--y", "--x", "--input"])
     def test_non_utf8_csv_is_a_data_error(self, synthetic_files, tmp_path, capsys, role):

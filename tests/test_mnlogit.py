@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from markovmix.data import CovariateMatrix, encode_sequences
-from markovmix.exceptions import DataError, EstimationError
+from markovmix.exceptions import DataError
 from markovmix.mnlogit import (
+    DECREMENT_TOL,
     DesignSpec,
     MnLogitModel,
     _check_rank,
@@ -131,7 +132,7 @@ class TestFitMnlogit:
         oracle = float((logits[np.arange(120), response - 1] - logsumexp(logits, axis=1)).sum())
         with np.errstate(all="raise"):
             value = mnlogit_loglik(point, design, response)
-            model = MnLogitModel(point, 3, DesignSpec(1, 1, 0), loglik=value,
+            model = MnLogitModel(point, 3, DesignSpec(1, 1), loglik=value,
                                  converged=True, iterations=0)
             probs = predict_probs(model, design)
         assert value == pytest.approx(oracle, rel=1e-12)
@@ -218,15 +219,32 @@ class TestFitMnlogit:
         with pytest.raises(DataError, match="non-finite"):
             fit_mnlogit(design, np.tile([1, 2], 15))
 
-    def test_overflowing_information_matrix_fails_fast(self):
-        # X'WX overflows on a covariate of 1e300; the first non-finite
-        # Newton step ends the fit instead of 100 iterations on NaN
+    def test_covariate_units_do_not_change_the_fit(self):
+        # the fit runs on unit max-abs columns; at 1e300 the unscaled
+        # information matrix X'WX would overflow
         rng = np.random.default_rng(0)
-        design = np.column_stack([np.ones(30), 1e300 * rng.normal(size=30)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(EstimationError, match="information matrix overflowed"):
-                fit_mnlogit(design, rng.integers(1, 3, size=30))
+        z = rng.normal(size=300)
+        response = 1 + (rng.random(300) < 1.0 / (1.0 + np.exp(-0.3 - 0.9 * z)))
+        fits = []
+        for scale in (1.0, 1e3, 1e300):
+            design = np.column_stack([np.ones(300), scale * z])
+            model = fit_mnlogit(design, response)
+            assert model.converged
+            fits.append((predict_probs(model, design), model.iterations))
+        for probs, iterations in fits[1:]:
+            assert np.allclose(probs, fits[0][0], rtol=0, atol=1e-12)
+            assert iterations == fits[0][1]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e8])
+    def test_converged_fit_certifies_its_newton_decrement(self, scale):
+        rng = np.random.default_rng(5)
+        design, response = _simulate_logit(rng, np.array([[0.4, -0.6], [0.1, 0.8]]), 500)
+        design[:, 1] *= scale
+        model = fit_mnlogit(design, response)
+        assert model.converged
+        score = mnlogit_score(model.coefficients, design, response)
+        step = np.linalg.solve(-_mnlogit_hessian(model.coefficients, design), score)
+        assert score @ step <= DECREMENT_TOL * len(response)
 
 
 def _qr_rank(design):
