@@ -16,6 +16,7 @@ column per source, so ``q.T`` is a C-order (s, rows) array.  The
 Hessian then scales along contiguous rows of ``q.T`` and is one general
 matrix product of two distinct operands, which BLAS runs several times
 faster than the symmetric rank-k update numpy chooses for ``x.T @ x``.
+Each kernel works in place in its own ``q @ w`` array, never in an input.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def mixture_loglik(
     mix = q @ weights
     if (mix <= 0).any():
         return -np.inf
-    log_mix = np.log(mix)
+    log_mix = np.log(mix, out=mix)
     return float(log_mix.sum() if counts is None else counts @ log_mix)
 
 
@@ -43,7 +44,7 @@ def mixture_gradient(
     weights: np.ndarray, q: np.ndarray, counts: Optional[np.ndarray] = None
 ) -> np.ndarray:
     mix = q @ weights
-    return q.T @ (1.0 / mix if counts is None else counts / mix)
+    return q.T @ np.divide(1.0 if counts is None else counts, mix, out=mix)
 
 
 def mixture_hessian(
@@ -58,7 +59,7 @@ def mixture_hessian(
     if counts is None:
         left /= mix
     else:
-        left *= counts / mix
+        left *= np.divide(counts, mix, out=mix)
     hess = np.dot(left, q)  # np.dot: less call overhead than @ on small tensors
     return -0.5 * (hess + hess.T)  # the product's two triangles round apart
 

@@ -136,7 +136,7 @@ def mnlogit_score(coefficients: np.ndarray, design: np.ndarray, response: np.nda
 
 def _mnlogit_hessian(coefficients: np.ndarray, design: np.ndarray) -> np.ndarray:
     """Analytic Hessian of the log-likelihood on the stacked coefficients."""
-    return _hessian(design.T, _evaluate(coefficients, design.T, 0.0)[1])
+    return _hessian(design.T, _evaluate(coefficients, design.T, None)[1])
 
 
 def _onehot(coefficients: np.ndarray, response: np.ndarray) -> np.ndarray:
@@ -145,36 +145,48 @@ def _onehot(coefficients: np.ndarray, response: np.ndarray) -> np.ndarray:
     return (np.asarray(response)[None, :] == states).astype(float)
 
 
-def _evaluate(coefficients: np.ndarray, design_t: np.ndarray, onehot) -> tuple[float, np.ndarray]:
+def _evaluate(coefficients, design_t: np.ndarray, onehot, out=None) -> tuple[float, np.ndarray]:
     """Log-likelihood and (m, n) probabilities at the (p, n) transposed design.
 
     The logits are (m-1, n), so every reduction runs along axis 0, across
     the states of one step; row 0 of the probabilities is the reference.
-    ``onehot`` is 0.0 where only the probabilities are wanted.
+    The logits go into rows 1.. of ``out`` (new when None), which is then
+    shifted, exponentiated and normalized in place and returned.
+    ``onehot`` is None where only the probabilities are wanted.
     """
-    logits = np.atleast_2d(coefficients) @ design_t
-    top = np.maximum(logits.max(axis=0), 0.0)
-    probs = np.empty((logits.shape[0] + 1, logits.shape[1]))
+    coefficients = np.atleast_2d(coefficients)
+    out = np.empty((len(coefficients) + 1, design_t.shape[1])) if out is None else out
+    logits = np.matmul(coefficients, design_t, out=out[1:])
+    realized = 0.0 if onehot is None else np.vdot(onehot, logits)
+    top = logits.max(axis=0)
+    np.maximum(top, 0.0, out=top)
+    np.negative(top, out=out[0])
+    logits -= top
     with np.errstate(under="ignore"):  # a probability below 1e-308 is 0
-        np.exp(-top, out=probs[0])
-        np.exp(logits - top, out=probs[1:])
-        total = probs.sum(axis=0)
-        probs /= total
-    log_norm = top + np.log(total)
-    return float(((onehot * logits).sum(axis=0) - log_norm).sum()), probs
+        np.exp(out, out=out)
+        total = out.sum(axis=0)
+        out /= total
+    log_norm = np.log(total, out=total)
+    log_norm += top
+    return float(realized - log_norm.sum()), out
 
 
-def _score(design_t: np.ndarray, onehot: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    return ((onehot - probs[1:]) @ design_t.T).ravel()  # (m-1, p) blocks X' (1{y=c} - P_c)
+def _score(design_t: np.ndarray, onehot: np.ndarray, probs: np.ndarray, out=None) -> np.ndarray:
+    # (m-1, p) blocks X' (1{y=c} - P_c), the difference written into ``out``
+    return (np.subtract(onehot, probs[1:], out=out) @ design_t.T).ravel()
 
 
 def _hessian(design_t: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Blocks -X' diag(P_a (1{a=b} - P_b)) X; one weight row and one weighted design serve all."""
     k, p = probs.shape[0] - 1, design_t.shape[0]
     hess = np.empty((k * p, k * p))
+    w, weighted = np.empty(design_t.shape[1]), np.empty_like(design_t)
     for a in range(k):
         for b in range(a, k):
-            w = probs[a + 1] * ((1.0 if a == b else 0.0) - probs[b + 1])
-            hess[a * p : (a + 1) * p, b * p : (b + 1) * p] = block = -(design_t * w) @ design_t.T
+            np.subtract(probs[b + 1], 1.0 if a == b else 0.0, out=w)  # minus the weight
+            w *= probs[a + 1]
+            np.multiply(design_t, w, out=weighted)
+            hess[a * p : (a + 1) * p, b * p : (b + 1) * p] = block = weighted @ design_t.T
             if b != a:
                 hess[b * p : (b + 1) * p, a * p : (a + 1) * p] = block.T
     return hess
@@ -200,11 +212,12 @@ def fit_mnlogit(
     coefficients in the design's own units.  Converged means the Newton
     decrement fell to ``DECREMENT_TOL`` per observation; the final full
     Newton step is then taken.  A singular information matrix gets a
-    small ridge; coefficients walking past |b| = 30 flag likely perfect
-    separation (the fit is still returned).  A rank-deficient design is
-    an error naming the dependent columns, a non-finite Newton step an
-    EstimationError.  A design passed as its ``_check_design`` result is
-    not checked or prepared again, so several responses share that work.
+    small ridge; scaled coefficients walking past |b| = 30 flag likely
+    perfect separation (the fit is still returned).  A rank-deficient
+    design is an error naming the dependent columns, a non-finite Newton
+    step an EstimationError.  A design passed as its ``_check_design``
+    result is not checked or prepared again, so several responses share
+    that work.
     """
     response = np.asarray(response, dtype=int)
     if n_states is None:
@@ -223,9 +236,9 @@ def fit_mnlogit(
     beta = np.zeros((n_states - 1, p))
     beta[:, checked.active] = beta_scaled / checked.scales
 
-    # perfect separation: coefficients diverging, or in-sample likelihood
-    # at its supremum (every realized outcome predicted with certainty)
-    separation = bool(np.max(np.abs(beta)) > SEPARATION_BOUND or ll > -1e-6)
+    # perfect separation: coefficients diverging on the unit-scaled columns, or
+    # in-sample likelihood at its supremum (every outcome predicted certainly)
+    separation = bool(np.max(np.abs(beta_scaled)) > SEPARATION_BOUND or ll > -1e-6)
     if spec is None:
         # generic spec for designs not built by build_design: every column
         # beyond the first is a covariate
@@ -244,16 +257,18 @@ def fit_mnlogit(
 def _newton_fit(design_t: np.ndarray, response: np.ndarray, n_states: int):
     """Newton-Raphson core; returns (coefficients, loglik, converged, iterations).
 
-    ``design_t`` is the (p, n) transposed design.  One softmax per iterate
-    serves its score and Hessian; the line search's accepted candidate
-    brings its own.
+    ``design_t`` is the (p, n) transposed design.  Two (m, n) arrays serve
+    the whole fit: the iterate's probabilities, which give its score and
+    Hessian, and a spare, which takes the score's residual and then each
+    line-search candidate; the two swap when a candidate is accepted.
     """
     beta = np.zeros((n_states - 1, design_t.shape[0]))
     onehot = _onehot(beta, response)
-    ll, probs = _evaluate(beta, design_t, onehot)
+    probs, spare = np.empty((2, n_states, design_t.shape[1]))
+    ll = _evaluate(beta, design_t, onehot, probs)[0]
     tol = DECREMENT_TOL * design_t.shape[1]
     for iterations in range(1, MAX_NEWTON_ITER + 1):
-        score = _score(design_t, onehot, probs)
+        score = _score(design_t, onehot, probs, spare[1:])
         info = -_hessian(design_t, probs)
         try:
             step = np.linalg.solve(info, score)
@@ -266,10 +281,10 @@ def _newton_fit(design_t: np.ndarray, response: np.ndarray, n_states: int):
         # 40 failed halvings the smallest step is taken regardless
         for halvings in range(41):
             candidate = beta + 0.5**halvings * step.reshape(beta.shape)
-            ll_new, probs = _evaluate(candidate, design_t, onehot)
+            ll_new = _evaluate(candidate, design_t, onehot, spare)[0]
             if converged or halvings == 40 or ll_new >= ll:
                 break
-        beta, ll = candidate, ll_new
+        beta, ll, probs, spare = candidate, ll_new, spare, probs
         if converged:
             break
     return beta, ll, converged, iterations
@@ -283,7 +298,7 @@ def predict_probs(model: MnLogitModel, design: np.ndarray) -> np.ndarray:
             f"design has {design.shape[1]} columns; model expects "
             f"{model.coefficients.shape[1]}"
         )
-    return _evaluate(model.coefficients, design.T, 0.0)[1].T
+    return _evaluate(model.coefficients, design.T, None)[1].T
 
 
 def _check_design(design: np.ndarray, spec: Optional[DesignSpec] = None) -> _CheckedDesign:
@@ -296,36 +311,33 @@ def _check_design(design: np.ndarray, spec: Optional[DesignSpec] = None) -> _Che
     nrows, p = design.shape
     if nrows < p + 1:
         raise DataError(f"{nrows} rows cannot support {p} design columns")
-    if not np.isfinite(design).all():  # the rank check's SVD would not converge
-        raise DataError("design contains non-finite entries")
-    active = ~np.all(design == 0.0, axis=0)
-    if not active.any():
-        raise DataError("design has no nonzero column")
-    scaled, scales = _check_rank(design[:, active], spec, np.nonzero(active)[0])
-    return _CheckedDesign(np.ascontiguousarray(scaled.T), scales, active)
+    return _CheckedDesign(*_check_rank(design, spec))
 
 
 def _check_rank(
-    design: np.ndarray,
-    spec: Optional[DesignSpec],
-    column_map: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The design on unit max-abs columns and their scales; DataError if it is rank deficient."""
+    design: np.ndarray, spec: Optional[DesignSpec]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero columns on unit max-abs scale as (p, n) rows, their scales and
+    their mask; DataError if the design is non-finite, zero or rank deficient."""
+    columns = np.ascontiguousarray(design.T)  # max |x| along contiguous rows
+    scales = np.max(np.abs(columns), axis=1)  # NaN or inf where a column has one
+    if not np.isfinite(scales).all():  # the SVD below would not converge
+        raise DataError("design contains non-finite entries")
+    active = scales > 0.0
+    if not active.any():
+        raise DataError("design has no nonzero column")
     # the scaled verdict ignores the covariates' units; a full matrix_rank
     # is pivoted QR's verdict too (sigma_min <= min |R_kk|, sigma_max >= |R_00|)
-    scales = np.max(np.abs(design), axis=0)
-    scaled = design / scales
-    if np.linalg.matrix_rank(scaled) < design.shape[1]:
+    scaled = columns[active].T / scales[active]
+    if np.linalg.matrix_rank(scaled) < scaled.shape[1]:
         import scipy.linalg  # only a design that fails the screen loads scipy
         _, r, pivots = scipy.linalg.qr(scaled, mode="economic", pivoting=True)
         diag = np.abs(np.diag(r))
-        rank = int((diag > diag[0] * max(design.shape) * np.finfo(float).eps).sum())
-        if rank < design.shape[1]:
-            bad = sorted(int(c) for c in pivots[rank:])
-            if column_map is not None:
-                bad = [int(column_map[c]) for c in bad]
+        rank = int((diag > diag[0] * max(scaled.shape) * np.finfo(float).eps).sum())
+        if rank < scaled.shape[1]:
+            bad = sorted(int(np.flatnonzero(active)[c]) for c in pivots[rank:])
             if spec is not None and spec.column_names:
                 names = [spec.column_names[c] for c in bad]
                 raise DataError(f"design is rank deficient; dependent columns: {names}")
             raise DataError(f"design is rank deficient; dependent column indices: {bad}")
-    return scaled, scales
+    return np.ascontiguousarray(scaled.T), scales[active], active

@@ -167,7 +167,7 @@ def nonhomog_prob_table(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     # one design row per (step, lag state), step-major, in mnlogit's layout
     design = _lag_design(np.tile(np.arange(1, m + 1), len(x)), np.repeat(x, m)[:, None], m)
-    return _evaluate(coefs, design.T, 0.0)[1].T.reshape(len(x), m, m)
+    return _evaluate(coefs, design.T, None)[1].T.reshape(len(x), m, m)
 
 
 def simulate_nonhomog_chain(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from markovmix._mixture import _hessian_std_errors, mixture_hessian
+from markovmix._mixture import _hessian_std_errors, mixture_gradient, mixture_hessian, mixture_loglik
 from markovmix.data import CovariateMatrix, encode_sequences, transition_matrix_grid
 from markovmix.gmmc import build_prob_tensor
 from markovmix.mtd import _pattern_prob_tensor, realized_prob_tensor
@@ -43,6 +43,20 @@ class TestMixtureHessian:
         hess = mixture_hessian(weights, q)
         assert np.isfinite(hess).all()
         assert np.allclose(hess, _oracle(weights, q), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("with_counts", [False, True], ids=["rows", "counts"])
+@pytest.mark.parametrize("kernel", [mixture_loglik, mixture_gradient, mixture_hessian])
+def test_kernels_leave_their_inputs_alone(kernel, with_counts):
+    # the kernels work in place in their own q @ w array, never in an input
+    rng = np.random.default_rng(6)
+    q = np.asarray(_tensor(rng, 300, 3), order="F")
+    weights = rng.dirichlet(np.ones(3))
+    counts = rng.integers(1, 9, size=300).astype(float) if with_counts else None
+    before = [a.copy() for a in (weights, q, counts) if a is not None]
+    kernel(weights, q, counts)
+    after = [a for a in (weights, q, counts) if a is not None]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 class TestTensorLayout:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from markovmix import mnlogit
 from markovmix.data import CovariateMatrix, encode_sequences
 from markovmix.exceptions import DataError
 from markovmix.mnlogit import (
@@ -12,7 +13,9 @@ from markovmix.mnlogit import (
     DesignSpec,
     MnLogitModel,
     _check_rank,
+    _evaluate,
     _mnlogit_hessian,
+    _onehot,
     build_design,
     fit_mnlogit,
     mnlogit_loglik,
@@ -191,6 +194,14 @@ class TestFitMnlogit:
         with pytest.raises(DataError, match="rank deficient"):
             fit_mnlogit(design, rng.integers(1, 3, size=80))
 
+    def test_dependent_column_named_past_a_zero_column(self):
+        # the rank check runs on the nonzero columns and names design columns
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=80)
+        design = np.column_stack([np.ones(80), np.zeros(80), z, 2.0 * z])
+        with pytest.raises(DataError, match=r"dependent column indices: \[[23]\]$"):
+            fit_mnlogit(design, rng.integers(1, 3, size=80))
+
     def test_separation_flagged_not_fatal(self):
         # a perfectly separating covariate drives |beta| past the bound
         x = np.concatenate([-np.ones(40) - np.arange(40) / 40, np.ones(40) + np.arange(40) / 40])
@@ -198,6 +209,16 @@ class TestFitMnlogit:
         design = np.column_stack([np.ones(80), x])
         model = fit_mnlogit(design, y)
         assert model.separation
+
+    def test_separation_flag_ignores_covariate_units(self):
+        # the bound applies to the unit-scaled coefficients: the slope is
+        # 1.17 on z and 117.4 on 0.01 z, and the fits predict alike
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=300)
+        response = 1 + (rng.random(300) < 1.0 / (1.0 + np.exp(-0.3 - 0.9 * z)))
+        flags = [fit_mnlogit(np.column_stack([np.ones(300), scale * z]), response).separation
+                 for scale in (1.0, 0.01)]
+        assert flags == [False, False]
 
     def test_missing_response_state_rejected(self):
         with pytest.raises(DataError, match="never observed"):
@@ -245,6 +266,45 @@ class TestFitMnlogit:
         score = mnlogit_score(model.coefficients, design, response)
         step = np.linalg.solve(-_mnlogit_hessian(model.coefficients, design), score)
         assert score @ step <= DECREMENT_TOL * len(response)
+
+
+class TestNewtonBuffers:
+    """The fit evaluates into two preallocated (m, n) arrays."""
+
+    def test_evaluate_writes_into_out(self):
+        rng = np.random.default_rng(8)
+        design, response = _simulate_logit(rng, np.array([[0.5, -1.0, 2.0], [-0.3, 0.7, 1.5]]), 400)
+        coefficients = np.array([[0.4, -0.9, 2.2], [-0.1, 0.5, 1.1]])
+        onehot = _onehot(coefficients, response)
+        buffer = np.full((3, 400), np.nan)
+        ll_out, probs_out = _evaluate(coefficients, design.T, onehot, buffer)
+        ll, probs = _evaluate(coefficients, design.T, onehot)
+        assert probs_out is buffer
+        assert probs_out.tobytes() == probs.tobytes()
+        # the arithmetic of a softmax with fresh temporaries, bit for bit
+        logits = coefficients @ design.T
+        top = np.maximum(logits.max(axis=0), 0.0)
+        reference = np.vstack([np.exp(-top), np.exp(logits - top)])
+        assert probs.tobytes() == (reference / reference.sum(axis=0)).tobytes()
+        oracle = np.log(probs[response - 1, np.arange(400)]).sum()
+        assert abs(ll_out - oracle) <= 1e-12 * 400
+        assert abs(ll - oracle) <= 1e-12 * 400
+
+    def test_halving_fit_reports_its_coefficients_loglik(self, monkeypatch):
+        # a quasi-separated fit (n=17, p=4, m=3) whose line search halves
+        # twice: the swapped buffers must leave the accepted candidate's likelihood
+        rng = np.random.default_rng(1307)
+        n, p, m = int(rng.integers(8, 60)), int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        design = np.column_stack([np.ones(n)] + [rng.standard_cauchy(size=n) for _ in range(p - 1)])
+        response = rng.integers(1, m + 1, size=n)
+        calls = []
+        evaluate = mnlogit._evaluate
+        monkeypatch.setattr(mnlogit, "_evaluate", lambda *a: calls.append(a) or evaluate(*a))
+        model = fit_mnlogit(design, response, m)
+        assert len(calls) > model.iterations + 1  # one start and one candidate per step
+        assert model.loglik == pytest.approx(
+            mnlogit_loglik(model.coefficients, design, response), rel=1e-9, abs=0.0
+        )
 
 
 def _qr_rank(design):
