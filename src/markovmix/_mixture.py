@@ -16,7 +16,7 @@ column per source, so ``q.T`` is a C-order (s, rows) array.  The
 Hessian then scales along contiguous rows of ``q.T`` and is one general
 matrix product of two distinct operands, which BLAS runs several times
 faster than the symmetric rank-k update numpy chooses for ``x.T @ x``.
-Each kernel works in place in its own ``q @ w`` array, never in an input.
+Kernels take ``q @ w`` from ``product``, a memo, if given; none writes into it.
 """
 
 from __future__ import annotations
@@ -30,28 +30,28 @@ from .optim import OptimResult
 
 
 def mixture_loglik(
-    weights: np.ndarray, q: np.ndarray, counts: Optional[np.ndarray] = None
+    weights: np.ndarray, q: np.ndarray, counts: Optional[np.ndarray] = None, product=None
 ) -> float:
     """Sum over rows of counts_t * log(weights . q_t); -inf when any mixture is <= 0."""
-    mix = q @ weights
+    mix = q @ weights if product is None else product(weights)
     if (mix <= 0).any():
         return -np.inf
-    log_mix = np.log(mix, out=mix)
+    log_mix = np.log(mix)
     return float(log_mix.sum() if counts is None else counts @ log_mix)
 
 
 def mixture_gradient(
-    weights: np.ndarray, q: np.ndarray, counts: Optional[np.ndarray] = None
+    weights: np.ndarray, q: np.ndarray, counts: Optional[np.ndarray] = None, product=None
 ) -> np.ndarray:
-    mix = q @ weights
-    return q.T @ np.divide(1.0 if counts is None else counts, mix, out=mix)
+    mix = q @ weights if product is None else product(weights)
+    return q.T @ ((1.0 if counts is None else counts) / mix)
 
 
 def mixture_hessian(
-    weights: np.ndarray, q: np.ndarray, counts: Optional[np.ndarray] = None
+    weights: np.ndarray, q: np.ndarray, counts: Optional[np.ndarray] = None, product=None
 ) -> np.ndarray:
     """Hessian of the mixture log-likelihood: -sum_t counts_t q_t q_t' / (w.q_t)^2."""
-    mix = q @ weights
+    mix = q @ weights if product is None else product(weights)
     # two divisions, not one by mix * mix, which underflows to 0 (and a
     # zero entry of q to 0/0) once mix is below about 1e-162; in place,
     # since a second (s, rows) temporary costs more than the product
@@ -59,7 +59,7 @@ def mixture_hessian(
     if counts is None:
         left /= mix
     else:
-        left *= np.divide(counts, mix, out=mix)
+        left *= counts / mix
     hess = np.dot(left, q)  # np.dot: less call overhead than @ on small tensors
     return -0.5 * (hess + hess.T)  # the product's two triangles round apart
 

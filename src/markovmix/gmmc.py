@@ -9,9 +9,9 @@ paths and transition matrices all evaluate a submodel's ``predict_probs``
 on mnlogit's one design layout, so a loaded fit predicts as its fresh
 fit does.  The weights then maximize the mixture log-likelihood by an
 Augmented Lagrangian on the probability simplex, whose inner Newton
-steps use the analytic mixture Hessian.  Standard errors come from the
-analytic Hessian in the weights at the optimum (first-stage uncertainty
-is not propagated, a documented understatement).
+steps use the analytic mixture Hessian and share one ``q @ w`` per point.
+Standard errors come from the analytic Hessian in the weights at the optimum
+(first-stage uncertainty is not propagated, a documented understatement).
 """
 
 from __future__ import annotations
@@ -91,6 +91,18 @@ def build_prob_tensor(
     return [np.array(cols).T for cols in q_cols], submodels
 
 
+def _product_memo(q: np.ndarray):
+    """``w -> q @ w``, recomputed only when w's bits change."""
+    last = [b"", None]
+
+    def product(w: np.ndarray) -> np.ndarray:
+        if w.tobytes() != last[0]:
+            last[:] = w.tobytes(), q @ w
+        return last[1]
+
+    return product
+
+
 def gmmc_loglik(weights: Sequence[float], tensor: np.ndarray) -> float:
     """Mixture log-likelihood: sum_t log(weights . q_t); -inf on zero mixture."""
     return mixture_loglik(np.asarray(weights, dtype=float), tensor)
@@ -133,12 +145,12 @@ def estimate_gmmc(
     converged: list[bool] = []
     equations = []
     for j in range(s):
-        q = tensors[j]
+        q, product = tensors[j], _product_memo(tensors[j])
         result = maximize_auglag(
-            lambda w: mixture_loglik(w, q),
+            lambda w: mixture_loglik(w, q, product=product),
             start,
-            lambda w: mixture_gradient(w, q),
-            lambda w: mixture_hessian(w, q),
+            lambda w: mixture_gradient(w, q, product=product),
+            lambda w: mixture_hessian(w, q, product=product),
         )
         # the solver satisfies the constraints to tolerance; snap the last
         # ~1e-7 onto the simplex so downstream invariants hold exactly
@@ -406,4 +418,6 @@ def _check_x(fit: GmmcFit, x_value) -> np.ndarray:
             f"covariate value has shape {x_value.shape}; fit expects {d} value(s) "
             f"({', '.join(fit.covariate_names)})"
         )
+    if not np.isfinite(x_value).all():
+        raise DataError(f"covariate value {x_value.tolist()} is not finite")
     return x_value

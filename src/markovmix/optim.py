@@ -5,17 +5,15 @@ maximized; minimization happens internally.  Contents:
 
   - numeric_gradient / numeric_hessian: central differences
   - project_simplex: Euclidean projection onto the probability simplex
-  - maximize_unconstrained: Newton steps on the caller's Hessian, shifted
-    to positive definite where it is indefinite (modified Newton), or
-    BFGS steps when no Hessian is given; the gradient is always analytic.
-    A step that leaves x bitwise unchanged, or a Newton step that leaves
-    f so, ends the run ("line search stalled")
+  - maximize_unconstrained: BFGS steps on the caller's analytic
+    gradient; a step that leaves x bitwise unchanged ends the run
+    ("line search stalled")
   - maximize_simplex: active-set Newton method on the probability
     simplex, certified by a KKT residual scaled to the sample size
   - maximize_auglag: Augmented Lagrangian on the probability simplex
-    (sum(w) = 1, w >= 0) with Newton inner steps on the exact Hessian
-    of the augmented objective, built from the caller's analytic
-    gradient and Hessian of f
+    (sum(w) = 1, w >= 0) whose private inner solve takes modified Newton
+    steps on the exact Hessian of the augmented objective, built from
+    the caller's analytic gradient and Hessian of f
 
 Augmented Lagrangian tolerances: gradient/KKT 1e-6, sum constraint
 1e-6, bounds 1e-8; iteration caps 500 (inner) / 50 (outer); penalty
@@ -27,6 +25,7 @@ instead of failing, so log(0) near a boundary is survivable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -45,6 +44,7 @@ INITIAL_PENALTY = 1.0
 ARMIJO_SLOPE = 1e-4
 NEWTON_SHIFT = 1e-8  # smallest Hessian eigenvalue kept, relative to its largest entry
 BACKTRACK = 0.5
+MAX_BACKTRACKS = 60
 KKT_TOL = 1e-9  # maximize_simplex's KKT residual bound, per observation
 MAX_SIMPLEX_ITER = 100
 
@@ -120,57 +120,45 @@ def maximize_unconstrained(
     f: Callable[[np.ndarray], float],
     start: Sequence[float],
     gradient: Callable[[np.ndarray], np.ndarray],
-    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     gtol: float = GRAD_TOL,
     max_iter: int = MAX_INNER_ITER,
 ) -> OptimResult:
-    """Maximize f from a starting point, given its gradient.
+    """Maximize f from a starting point by BFGS steps on its gradient.
 
-    With ``hessian`` the steps are modified Newton steps; without it,
-    BFGS steps.  Converged means max |gradient| <= ``gtol``.
+    Converged means max |gradient| <= ``gtol``.
     """
     x = np.array(start, dtype=float)
     fval = -f(x)  # run as minimization of -f
     if not np.isfinite(fval):
         raise EstimationError("objective is not finite at the starting point")
     g = -gradient(x)  # gradient of -f
-    p = x.size
-    h_inv = np.eye(p)
+    h_inv = np.eye(x.size)
     iterations = 0
     message = "iteration cap reached"
     while iterations < max_iter and np.max(np.abs(g)) > gtol:
         iterations += 1
-        if hessian is None:
-            direction = -h_inv @ g
-        else:  # modified Newton: shift an indefinite Hessian to positive definite
-            hess = -hessian(x)
-            floor = NEWTON_SHIFT * max(1.0, float(np.max(np.abs(hess))))
-            shift = max(0.0, floor - float(np.linalg.eigvalsh(hess)[0]))
-            direction = np.linalg.solve(hess + shift * np.eye(p), -g)
+        direction = -h_inv @ g
         if direction @ g >= 0:
             # degenerate BFGS state: fall back to steepest descent
             direction = -g
 
         step, fval_new, ok = _armijo_descent(lambda z: -f(z), x, fval, g, direction)
         x_new = x + step * direction
-        # a step too small to move x leaves every later iteration identical;
-        # a Newton step that leaves f bitwise unchanged is at f's rounding
-        # floor, where Armijo accepts steps that gain nothing
-        if not ok or np.array_equal(x_new, x) or (hessian is not None and fval_new == fval):
+        # a step too small to move x leaves every later iteration identical
+        if not ok or np.array_equal(x_new, x):
             message = "line search stalled"
             break
 
         g_new = -gradient(x_new)
-        if hessian is None:
-            s = x_new - x
-            y = g_new - g
-            sy = s @ y
-            if sy > 1e-12 * max(1.0, float(np.linalg.norm(s)) * float(np.linalg.norm(y))):
-                rho = 1.0 / sy
-                eye = np.eye(p)
-                h_inv = (eye - rho * np.outer(s, y)) @ h_inv @ (
-                    eye - rho * np.outer(y, s)
-                ) + rho * np.outer(s, s)
+        s = x_new - x
+        y = g_new - g
+        sy = s @ y
+        if sy > 1e-12 * max(1.0, float(np.linalg.norm(s)) * float(np.linalg.norm(y))):
+            rho = 1.0 / sy
+            eye = np.eye(x.size)
+            h_inv = (eye - rho * np.outer(s, y)) @ h_inv @ (
+                eye - rho * np.outer(y, s)
+            ) + rho * np.outer(s, s)
         x, fval, g = x_new, fval_new, g_new
 
     converged = bool(np.max(np.abs(g)) <= gtol)
@@ -180,11 +168,11 @@ def maximize_unconstrained(
                        iterations=iterations, gradient=-g, message=message)
 
 
-def _armijo_descent(f, x, fx, g, direction, max_backtracks: int = 60):
+def _armijo_descent(f, x, fx, g, direction):
     """Backtracking Armijo line search; shrinks through non-finite values."""
     slope = g @ direction
     step = 1.0
-    for _ in range(max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         candidate = f(x + step * direction)
         if np.isfinite(candidate) and candidate <= fx + ARMIJO_SLOPE * step * slope:
             return step, candidate, True
@@ -297,15 +285,13 @@ def maximize_auglag(
         # minimization form applied to -f, returned negated so the inner
         # solver can keep maximizing
         val = f(z)
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             return val
         hv = float(z.sum() - 1.0)
-        penalty = mu * hv + 0.5 * rho * (hv * hv)
-        shifted = nu / rho - z
-        active = shifted > 0
-        penalty += 0.5 * rho * float(shifted[active] @ shifted[active])
-        penalty -= float(nu @ nu) / (2.0 * rho)
-        return val - penalty
+        shifted = nu_rho - z
+        active = shifted[shifted > 0]
+        return val - (mu * hv + 0.5 * rho * (hv * hv) + 0.5 * rho * float(active @ active)
+                      - nu_penalty)
 
     def augmented_gradient(z: np.ndarray) -> np.ndarray:
         hv = float(z.sum() - 1.0)
@@ -313,8 +299,7 @@ def maximize_auglag(
 
     def augmented_hessian(z: np.ndarray) -> np.ndarray:
         hess = hessian(z) - rho
-        bound = np.flatnonzero(nu - rho * z > 0)
-        hess[bound, bound] -= rho
+        hess.flat[:: z.size + 1] -= rho * (nu - rho * z > 0)  # the active bounds
         return hess
 
     converged = False
@@ -322,14 +307,11 @@ def maximize_auglag(
     prev_violation = np.inf
     message = "outer iteration cap reached"
     for outer in range(1, MAX_OUTER_ITER + 1):
+        nu_rho, nu_penalty = nu / rho, float(nu @ nu) / (2.0 * rho)  # fixed per inner solve
         # loose inner tolerance on early outer rounds, full tolerance later
-        inner = maximize_unconstrained(
-            augmented,
-            x,
-            gradient=augmented_gradient,
+        inner = _maximize_newton(
+            augmented, x, augmented_gradient, augmented_hessian,
             gtol=GRAD_TOL * 10.0 ** max(0, 3 - outer),
-            max_iter=MAX_INNER_ITER,
-            hessian=augmented_hessian,
         )
         x = inner.argmax
         total_inner += inner.iterations
@@ -354,14 +336,44 @@ def maximize_auglag(
             break
         prev_violation = max(violation, 1e-300)
 
-    return OptimResult(
-        argmax=x,
-        value=float(f(x)),
-        converged=converged,
-        iterations=total_inner,
-        gradient=gradient(x),
-        message=message,
-    )
+    return OptimResult(argmax=x, value=float(f(x)), converged=converged,
+                       iterations=total_inner, gradient=gradient(x), message=message)
+
+
+def _maximize_newton(f, start, gradient, hessian, gtol=GRAD_TOL, max_iter=MAX_INNER_ITER):
+    """maximize_auglag's inner solve: Newton steps on the Hessian, shifted to
+    positive definite where indefinite, and an inline Armijo search.  A step
+    that leaves f bitwise unchanged (so any that leaves x so) ends the run."""
+    x = np.array(start, dtype=float)
+    fval, g = -f(x), -gradient(x)  # run as minimization of -f
+    iterations, message = 0, "iteration cap reached"
+    while iterations < max_iter and np.abs(g).max() > gtol:
+        iterations += 1
+        hess = -hessian(x)
+        floor = NEWTON_SHIFT * max(1.0, float(np.abs(hess).max()))
+        hess.flat[:: x.size + 1] += max(0.0, floor - float(np.linalg.eigvalsh(hess)[0]))
+        direction = np.linalg.solve(hess, -g)
+        if direction @ g >= 0:
+            direction = -g
+        slope, step = g @ direction, 1.0
+        for _ in range(MAX_BACKTRACKS):
+            x_new = x + step * direction
+            fval_new = -f(x_new)
+            if math.isfinite(fval_new) and fval_new <= fval + ARMIJO_SLOPE * step * slope:
+                break
+            step *= BACKTRACK
+        else:  # no step passes: end the run below
+            fval_new = fval
+        if fval_new == fval:
+            message = "line search stalled"
+            break
+        x, fval, g = x_new, fval_new, -gradient(x_new)
+
+    converged = bool(np.abs(g).max() <= gtol)
+    if converged:
+        message = "gradient norm below tolerance"
+    return OptimResult(argmax=x, value=-float(fval), converged=converged,
+                       iterations=iterations, gradient=-g, message=message)
 
 
 def _simplex_violation(w: np.ndarray) -> float:

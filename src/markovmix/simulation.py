@@ -84,10 +84,9 @@ class SimConfig:
             if self.states != 2:
                 raise ValueError("part2 is a two-state design")
             lam = np.asarray(self.lambda_true, dtype=float)
-            if lam.shape != (2,) or (lam < 0).any() or abs(lam.sum() - 1.0) > 1e-8:
-                raise ValueError(
-                    f"part2 needs lambda_true on the 2-simplex, got {self.lambda_true}"
-                )
+            # asked as "is it on the simplex", which NaN fails too
+            if lam.shape != (2,) or not ((lam >= 0).all() and abs(lam.sum() - 1.0) <= 1e-8):
+                raise ValueError(f"part2 needs lambda_true on the 2-simplex, got {lam.tolist()}")
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 

@@ -89,14 +89,14 @@ def test_gmmc_weight_solve_stays_off_the_inner_cap(workloads, monkeypatch):
     panel = Panel(states, (3, 3, 3))
     tensors, _ = build_prob_tensor(panel, CovariateMatrix(x.reshape(-1, 1), ["x"]))
     inner = []
-    solve = optim.maximize_unconstrained
+    solve = optim._maximize_newton
 
     def spy(*args, **kwargs):
         result = solve(*args, **kwargs)
         inner.append(result.iterations)
         return result
 
-    monkeypatch.setattr(optim, "maximize_unconstrained", spy)
+    monkeypatch.setattr(optim, "_maximize_newton", spy)
     start = np.full(3, 1.0 / 3.0)
     for seed in range(20):
         rng = np.random.default_rng(seed)

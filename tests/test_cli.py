@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovmix import optim
+from markovmix import cli, optim
 from markovmix.cli import main
 from markovmix.simulation import simulate_homog_chain, simulate_nonhomog_chain
 
@@ -174,6 +174,17 @@ class TestTransmatCommand:
         rc = main(["transmat", "--fit", str(fit_path), "--x", "1.0,2.0"])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("x_value", ["nan", "inf"])
+    def test_non_finite_covariate_is_a_data_error(self, saved_fit_text, tmp_path, capsys,
+                                                  x_value):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(saved_fit_text)
+        rc = main(["transmat", "--fit", str(fit_path), "--x", x_value])
+        assert rc == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err
+        assert captured.out == ""
+
     @pytest.fixture(scope="class")
     def saved_fit_text(self, synthetic_files, tmp_path_factory):
         panel, cov = synthetic_files
@@ -281,6 +292,17 @@ class TestSimulateCommand:
             assert rc == 0
             paths.append(out_json)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda_true_is_a_usage_error(self, capsys, monkeypatch, value):
+        # rejected by SimConfig before any replication runs
+        monkeypatch.setattr(cli, "run_study", lambda *a, **k: pytest.fail("a study ran"))
+        rc = main(["simulate", "--part", "2", "--n", "100", "--reps", "2",
+                   "--lambda-true", f"{value},0.5"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: part2 needs lambda_true on the 2-simplex, got [{value}, 0.5]\n"
+        )
 
     def test_env_var_default_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MARKOVMIX_SEED", "21")

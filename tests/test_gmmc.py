@@ -41,6 +41,22 @@ def part1_style_fit():
     return panel, cov, fit
 
 
+class _CountedTensor(np.ndarray):
+    """A mixture tensor that logs the weights of each ``q @ w`` into ``log``
+    while it is a list; whatever is computed from it is a plain array."""
+
+    log = None
+
+    def __matmul__(self, other):
+        if _CountedTensor.log is not None and self.shape[0] > self.shape[1] == np.size(other):
+            _CountedTensor.log.append(np.asarray(other).tobytes())
+        return self.view(np.ndarray) @ np.asarray(other)
+
+    def __array_wrap__(self, array, context=None, return_scalar=False):
+        array = array.view(np.ndarray)
+        return array[()] if return_scalar else array
+
+
 class TestBuildProbTensor:
     def test_shapes(self):
         rng = np.random.default_rng(0)
@@ -216,6 +232,33 @@ class TestEstimateGmmc:
         for eq in fit.fit_report.equations:
             assert "Hessian is singular; standard errors unavailable" in eq.warnings
 
+    def test_weight_solve_takes_one_product_per_point(self, part1_style_fit, monkeypatch):
+        # the value at an accepted line-search point, the gradient there
+        # and the next Hessian share one q @ w; a point is taken again
+        # only after another, as when a stalled inner solve hands back
+        # its last accepted point (equation 1 here)
+        panel, cov, fit = part1_style_fit
+        build, solve, solves = gmmc.build_prob_tensor, gmmc.maximize_auglag, []
+
+        def counted_tensors(*args, **kwargs):
+            tensors, submodels = build(*args, **kwargs)
+            return [q.view(_CountedTensor) for q in tensors], submodels
+
+        def logged_solve(*args, **kwargs):
+            _CountedTensor.log = []
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                solves.append(_CountedTensor.log)
+                _CountedTensor.log = None
+
+        monkeypatch.setattr(gmmc, "build_prob_tensor", counted_tensors)
+        monkeypatch.setattr(gmmc, "maximize_auglag", logged_solve)
+        assert np.array_equal(estimate_gmmc(panel, cov).weights, fit.weights)
+        assert len(solves) == 2
+        for points in solves:
+            assert points and all(a != b for a, b in zip(points, points[1:]))
+
     def test_initial_projected_from_all_ones(self, part1_style_fit):
         panel, cov, fit = part1_style_fit
         fit_ones = estimate_gmmc(panel, cov, initial=[1.0, 1.0], x_lag=1)
@@ -279,6 +322,14 @@ class TestConditionalTransitionMatrix:
             conditional_transition_matrix(fit, equation, 1.3)
         with pytest.raises(DataError, match=rf"chain index {equation} out of range 0\.\.1"):
             conditional_distribution(fit, equation, [1, 1], 1.3)
+
+    @pytest.mark.parametrize("x_value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_covariate_rejected(self, part1_style_fit, x_value):
+        _, _, fit = part1_style_fit
+        with pytest.raises(DataError, match="not finite"):
+            conditional_transition_matrix(fit, 0, x_value)
+        with pytest.raises(DataError, match="not finite"):
+            conditional_distribution(fit, 0, [1, 1], [x_value])
 
     def test_label_mismatch_rejected(self):
         rng = np.random.default_rng(6)

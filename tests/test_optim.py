@@ -23,15 +23,15 @@ from markovmix.optim import (
 )
 from markovmix.simulation import simulate_homog_chain, simulate_nonhomog_chain
 
-# the two paths of maximize_unconstrained: Newton steps when a Hessian
-# is passed, BFGS steps when not
+# the two unconstrained loops: the Augmented Lagrangian's inner Newton
+# solve, which takes the Hessian, and maximize_unconstrained's BFGS
 PATHS = ["newton-raphson", "bfgs"]
 
 
 def _maximize(path, f, start, gradient, hessian, **kwargs):
-    return maximize_unconstrained(
-        f, start, gradient, hessian=hessian if path == "newton-raphson" else None, **kwargs
-    )
+    if path == "newton-raphson":
+        return optim._maximize_newton(f, start, gradient, hessian, **kwargs)
+    return maximize_unconstrained(f, start, gradient, **kwargs)
 
 
 class TestMaximizeUnconstrained:
@@ -140,7 +140,7 @@ class TestMaximizeUnconstrained:
         def hess(t):
             return np.array([[-4.0 * (3.0 * t[0] ** 2 - 1.0) - 2e4, 2e4], [2e4, -2e4]])
 
-        res = maximize_unconstrained(f, [0.1, 0.1], grad, hessian=hess, max_iter=50)
+        res = optim._maximize_newton(f, [0.1, 0.1], grad, hess, max_iter=50)
         assert res.converged
         assert np.max(np.abs(res.argmax - 1.0)) < 1e-6
 
@@ -277,19 +277,19 @@ class TestAuglagAnalyticHessian:
             np.array([0.6, 0.5, -0.1]),  # w3 < 0: its bound's penalty is active
             np.array([0.7, -0.05, 0.2]),  # w2 < 0, and the sum below 1
         ]
-        inner_solve = optim.maximize_unconstrained
+        inner_solve = optim._maximize_newton
         checked = []
 
-        def spy(f, start, **kwargs):
+        def spy(f, start, gradient, hessian, **kwargs):
             for w in points:
                 oracle = numeric_hessian(f, w)
-                analytic = kwargs["hessian"](w)
+                analytic = hessian(w)
                 scale = np.max(np.abs(oracle))
                 assert np.max(np.abs(analytic - oracle)) <= 1e-5 * scale
-            checked.append(kwargs["hessian"] is not None)
-            return inner_solve(f, start, **kwargs)
+            checked.append(hessian is not None)
+            return inner_solve(f, start, gradient, hessian, **kwargs)
 
-        monkeypatch.setattr(optim, "maximize_unconstrained", spy)
+        monkeypatch.setattr(optim, "_maximize_newton", spy)
         res = maximize_auglag(
             lambda w: mixture_loglik(w, q),
             np.full(3, 1.0 / 3.0),

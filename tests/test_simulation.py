@@ -172,6 +172,8 @@ class TestSimConfig:
             SimConfig(n_obs=100, scenario="part2", states=3, lambda_true=(0.5, 0.5))
         with pytest.raises(ValueError):
             SimConfig(n_obs=100, scenario="part2", lambda_true=(0.9, 0.2))
+        with pytest.raises(ValueError, match=r"got \[nan, 0\.5\]"):
+            SimConfig(n_obs=100, scenario="part2", lambda_true=(np.nan, 0.5))
         with pytest.raises(ValueError):
             SimConfig(n_obs=100, alpha=1.5)
 

@@ -57,6 +57,9 @@ def test_traced_gmmc_fit_counts_the_weight_solve(tracing):
     assert metrics["optim.auglag_calls"] == 2
     assert metrics["optim.inner_iters"] > 0
     assert metrics["optim.evals_per_iter"] > 0
+    # the weight solve reaches the kernels through gmmc's module names
+    assert metrics["mixture.loglik_calls"] > 0
+    assert metrics["mixture.gradient_calls"] > 0
     # one first-stage fit per (equation, source chain) pair, even though
     # each design is checked once for all its equations
     assert metrics["mnlogit.fits"] == 4
