@@ -8,7 +8,10 @@ chain's lagged state is
 with Phi the standard normal CDF and P_jk the empirical plug-in
 transition matrices.  The e parameters are unconstrained reals, so the
 likelihood is maximized by BFGS on its closed-form score; the normal CDF
-keeps every probability strictly positive.
+keeps every probability strictly positive.  BFGS asks for the score at
+the point its line search has just evaluated, so an equation's objective
+and score share one evaluation (the arguments, log Phi and the normalized
+log-probabilities) per point.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ def estimate_mtd_probit(
 
     ``initial`` defaults to all ones, one value per parameter
     (intercept plus one slope per chain).  Each equation is one BFGS
-    solve on the closed-form score; standard errors come from a
+    solve on the closed-form score, which reuses the objective's
+    evaluation at the same point; standard errors come from a
     central-difference Hessian at the maximum.  Plug-in transition
     matrices are estimated from the panel unless an explicit grid is
     supplied (e.g. known matrices in simulations).
@@ -106,12 +110,13 @@ def estimate_mtd_probit(
     equations = []
     for j in range(s):
         patterns = _stack_plugin_probs(panel, transmats, j)
+        evaluate = _last_evaluation()
 
         def objective(theta: np.ndarray) -> float:
-            return _equation_loglik(theta, *patterns)
+            return _equation_loglik(theta, *patterns, evaluate=evaluate)
 
         def score(theta: np.ndarray) -> np.ndarray:
-            return _equation_score(theta, *patterns)
+            return _equation_score(theta, *patterns, evaluate=evaluate)
 
         result = maximize_unconstrained(objective, init, gradient=score)
         etas[j] = result.argmax
@@ -160,33 +165,53 @@ def _stack_plugin_probs(
     return np.stack(layers, axis=1), patterns[:, s] - 1, counts
 
 
-def _log_probs(etas: np.ndarray, plugin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(etas: np.ndarray, plugin: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arguments a (r, m), log Phi(a) and the normalized log-probabilities."""
     from scipy.special import log_ndtr, logsumexp  # only a probit fit loads scipy
     # in log space throughout: Phi underflows to 0 for arguments below
     # about -38, but log(Phi) stays finite for any finite argument
     args = etas[0] + np.einsum("rkc,k->rc", plugin, etas[1:])
     log_weights = log_ndtr(args)
-    return args, log_weights - logsumexp(log_weights, axis=1, keepdims=True)
+    return args, log_weights, log_weights - logsumexp(log_weights, axis=1, keepdims=True)
+
+
+def _last_evaluation():
+    """``_evaluate``, recomputed only when the etas' bits or the plugin change."""
+    last = [None, b"", None]
+
+    def evaluate(etas: np.ndarray, plugin: np.ndarray):
+        key = etas.tobytes()
+        if plugin is not last[0] or key != last[1]:
+            last[:] = plugin, key, _evaluate(etas, plugin)
+        return last[2]
+
+    return evaluate
+
+
+def _log_probs(etas: np.ndarray, plugin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    args, _, log_probs = _evaluate(etas, plugin)
+    return args, log_probs
 
 
 def _equation_loglik(
-    etas: np.ndarray, plugin: np.ndarray, realized: np.ndarray, counts: np.ndarray
+    etas: np.ndarray, plugin: np.ndarray, realized: np.ndarray, counts: np.ndarray,
+    evaluate=_evaluate,
 ) -> float:
-    log_probs = _log_probs(etas, plugin)[1]
+    log_probs = evaluate(etas, plugin)[2]
     return float(counts @ log_probs[np.arange(len(realized)), realized])
 
 
 def _equation_score(
-    etas: np.ndarray, plugin: np.ndarray, realized: np.ndarray, counts: np.ndarray
+    etas: np.ndarray, plugin: np.ndarray, realized: np.ndarray, counts: np.ndarray,
+    evaluate=_evaluate,
 ) -> np.ndarray:
     """Closed-form gradient of _equation_loglik in (e_0, e_1..e_s).
 
     d loglik / d arg_c = count * (1{c = realized} - pi_c) * phi/Phi(arg_c),
     with the inverse Mills ratio phi/Phi taken as exp(log phi - log Phi).
     """
-    from scipy.special import log_ndtr
-    args, log_probs = _log_probs(etas, plugin)
-    mills = np.exp(-0.5 * args**2 - 0.5 * np.log(2.0 * np.pi) - log_ndtr(args))
+    args, log_weights, log_probs = evaluate(etas, plugin)
+    mills = np.exp(-0.5 * args**2 - 0.5 * np.log(2.0 * np.pi) - log_weights)
     hit = np.zeros_like(args)
     hit[np.arange(len(realized)), realized] = 1.0
     d = counts[:, None] * (hit - np.exp(log_probs)) * mills

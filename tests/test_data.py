@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovmix.data import (
+    DENSE_CODES_PER_STEP,
     CovariateMatrix,
     _read_table,
     count_transitions,
@@ -158,6 +159,39 @@ class TestTransitionPatterns:
             assert np.array_equal(patterns, expected_patterns)
             assert np.array_equal(counts, expected_counts)
             assert counts.sum() == n - 1
+
+    @pytest.mark.parametrize(
+        "dense, chains, states, length",
+        [
+            # at most 3**4 codes, against at least 21 steps
+            (True, (1, 3), 3, (22, 120)),
+            # at least 2**6 codes, against at most 15 steps
+            (False, (5, 6), 5, (2, 16)),
+        ],
+        ids=["bincount", "unique"],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_both_counting_paths_bitwise_match_unique_rows(
+        self, data, dense, chains, states, length
+    ):
+        s = data.draw(st.integers(*chains))
+        n = data.draw(st.integers(*length))
+        columns = []
+        for _ in range(s):
+            m = data.draw(st.integers(2, states))
+            col = data.draw(st.lists(st.integers(1, m), min_size=n, max_size=n))
+            if len(set(col)) < 2:
+                col[:2] = [1, 2]
+            columns.append(col)
+        panel = encode_sequences(columns)
+        for j in range(s):
+            n_codes = math.prod(panel.alphabet_sizes) * panel.alphabet_sizes[j]
+            assert (n_codes <= DENSE_CODES_PER_STEP * (n - 1)) == dense
+            for got, expected in zip(transition_patterns(panel, j), _unique_steps(panel, j)):
+                assert got.dtype == expected.dtype
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
 
     def test_wide_panel_reranks_codes(self):
         # 9**30 patterns overflow an int64 mixed-radix code

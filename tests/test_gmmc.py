@@ -22,6 +22,7 @@ from markovmix.gmmc import (
     transition_edge_list,
 )
 from markovmix.mnlogit import _lag_design, build_design, predict_probs
+from markovmix.mtd import estimate_mtd
 from markovmix.optim import numeric_hessian
 from markovmix.simulation import simulate_homog_chain, simulate_nonhomog_chain
 
@@ -278,6 +279,63 @@ class TestEstimateGmmc:
         from markovmix.inference import normal_p_value
 
         assert eq.p_values[0] == pytest.approx(normal_p_value(eq.z_values[0]), abs=1e-12)
+
+
+def _mtd_panel(seed, s, m, n):
+    """MTD panel with Dirichlet weights and rows: chain j takes a source
+    chain k with probability weights[j, k], then its next state from
+    rows[j, k] at k's lagged state."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(s), size=s)
+    rows = rng.dirichlet(np.ones(m), size=(s, s, m))
+    sources = np.column_stack([rng.choice(s, size=n, p=weights[j]) for j in range(s)])
+    cum_rows = np.cumsum(rows, axis=-1)
+    draws = rng.random((n, s))
+    states = np.zeros((n, s), dtype=int)
+    for t in range(1, n):
+        for j in range(s):
+            row = cum_rows[j, sources[t, j], states[t - 1, sources[t, j]]]
+            states[t, j] = min(np.searchsorted(row, draws[t, j]), m - 1)
+    return Panel(states + 1, (m,) * s)
+
+
+class TestNestsMtd:
+    """Without covariates each first-stage logit is saturated, so its fit is
+    the empirical transition matrix and GMMC's weight problem is MTD's.
+
+    The two fits differ only by their solvers' tolerances: the first stage
+    stops at a Newton decrement of 1e-9 per observation, and the weight
+    solve at 1e-6 on its KKT gradient and on sum(w) - 1.  So the
+    log-likelihoods agree to 1e-9 per observation, and the weights and
+    standard errors to small fractions of a standard error.  The fit's
+    ``logliks`` are taken at the reported weights; the report's
+    log-likelihood is not compared.
+    """
+
+    @pytest.mark.parametrize(
+        "seed, s, m, n",
+        [
+            (0, 2, 2, 400),
+            (1, 3, 3, 400),
+            (2, 2, 4, 1500),
+            (3, 3, 2, 3000),
+            (4, 3, 4, 5000),
+            (5, 2, 3, 5000),
+            (6, 3, 3, 2000),
+            (7, 2, 2, 5000),
+        ],
+    )
+    def test_gmmc_without_covariates_is_mtd(self, seed, s, m, n):
+        panel = _mtd_panel(seed, s, m, n)
+        fit = estimate_gmmc(panel, CovariateMatrix(np.zeros((n, 0)), []))
+        mtd = estimate_mtd(panel)
+        assert all(fit.converged) and all(mtd.converged)
+        std_errors = np.array([eq.std_errors for eq in mtd.fit_report.equations])
+        gmmc_std_errors = np.array([eq.std_errors for eq in fit.fit_report.equations])
+        assert np.all(np.isfinite(std_errors)) and np.all(std_errors > 0)
+        assert np.max(np.abs(fit.logliks - mtd.logliks)) <= 1e-9 * n
+        assert np.max(np.abs(fit.weights - mtd.weights) / std_errors) <= 1e-4
+        assert np.max(np.abs(gmmc_std_errors - std_errors) / std_errors) <= 1e-5
 
 
 class TestConditionalTransitionMatrix:

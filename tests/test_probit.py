@@ -7,10 +7,18 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from markovmix import probit
+from markovmix._mixture import _hessian_std_errors
 from markovmix.data import Panel, TransitionMatrix, encode_sequences, transition_matrix_grid
 from markovmix.exceptions import DataError
 from markovmix.inference import norm_cdf
-from markovmix.optim import GRAD_TOL, MAX_INNER_ITER, numeric_gradient
+from markovmix.optim import (
+    GRAD_TOL,
+    MAX_INNER_ITER,
+    maximize_unconstrained,
+    numeric_gradient,
+    numeric_hessian,
+)
 from markovmix.probit import (
     _equation_loglik,
     _equation_score,
@@ -351,3 +359,67 @@ class TestEstimateMtdProbit:
                     fit_swapped.transmats, fit_swapped.etas[0], 0, (3 - i1, 3 - i2)
                 )
                 assert np.max(np.abs(orig - swap[::-1])) < 1e-5
+
+
+class TestSharedEvaluation:
+    """The objective and the score of one equation share one evaluation per point."""
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        rng = np.random.default_rng(2022)
+        weights = rng.dirichlet(np.ones(3), size=3)
+        rows = rng.dirichlet(np.ones(3), size=(3, 3, 3))
+        return _simulate_mtd(rng, weights, rows, 3000)
+
+    def test_score_adds_no_evaluation(self, panel, monkeypatch):
+        # a point is (equation's plugin tensor, bits of the etas); the
+        # tensors are held, so no id is reused
+        plugins, evaluated, objective_points, score_points = [], [], [], []
+
+        def spy(real, log):
+            def wrapper(etas, plugin, *args, **kwargs):
+                plugins.append(plugin)
+                log.append((id(plugin), etas.tobytes()))
+                return real(etas, plugin, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(probit, "_evaluate", spy(probit._evaluate, evaluated))
+        monkeypatch.setattr(probit, "_equation_loglik", spy(_equation_loglik, objective_points))
+        monkeypatch.setattr(probit, "_equation_score", spy(_equation_score, score_points))
+        fit = estimate_mtd_probit(panel)
+        assert all(fit.converged)
+        # every score point was an objective point, and no point twice
+        assert set(score_points) <= set(objective_points)
+        assert len(evaluated) == len(set(objective_points))
+
+    def test_fit_is_bitwise_a_memo_free_fit(self, panel):
+        fit = estimate_mtd_probit(panel)
+        for j in range(panel.n_chains):
+            patterns = _stack_plugin_probs(panel, fit.transmats, j)
+
+            def objective(theta):
+                return _equation_loglik(theta, *patterns)
+
+            result = maximize_unconstrained(
+                objective, np.ones(4), gradient=lambda theta: _equation_score(theta, *patterns)
+            )
+            std_errors = _hessian_std_errors(numeric_hessian(objective, result.argmax))
+            equation = fit.fit_report.equations[j]
+            assert fit.etas[j].tobytes() == result.argmax.tobytes()
+            assert fit.logliks[j] == result.value
+            assert equation.loglik == result.value
+            assert equation.std_errors.tobytes() == std_errors.tobytes()
+
+    def test_a_point_changed_in_place_is_evaluated_afresh(self, panel):
+        transmats = transition_matrix_grid(panel)
+        patterns = _stack_plugin_probs(panel, transmats, 0)
+        other = _stack_plugin_probs(panel, transmats, 1)
+        evaluate = probit._last_evaluation()
+        theta = np.array([0.2, 1.0, -0.5, 0.7])
+        for step in range(3):
+            for plugins in (patterns, other, other, patterns):
+                ll = _equation_loglik(theta, *plugins, evaluate=evaluate)
+                score = _equation_score(theta, *plugins, evaluate=evaluate)
+                assert ll == _equation_loglik(theta.copy(), *plugins)
+                assert score.tobytes() == _equation_score(theta.copy(), *plugins).tobytes()
+            theta[step + 1] += 0.25  # same array, new point
